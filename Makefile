@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-baseline bench-gate fmt fmt-check clean
+.PHONY: check build vet test race bench bench-baseline bench-gate fmt fmt-check loc clean
 
 # The benchmark runs the CI bench gate pins: the fused-vs-scalar sampling
 # kernel comparison, delta-vs-cold-rebuild maintenance and the budgeted
@@ -60,6 +60,11 @@ bench-baseline:
 ## (see cmd/benchdiff). CI runs this on every PR.
 bench-gate:
 	$(BENCH_GATE_RUNS) | $(GO) run ./cmd/benchdiff -baseline results/bench_baseline.json
+
+## loc: print the non-test Go line count outside perfbench/ and
+## .bench_build/ — the size ROADMAP's design aim tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

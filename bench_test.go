@@ -508,14 +508,14 @@ func BenchmarkAblationCountersAtomicVsRange(b *testing.B) {
 	col.AppendArena(arena, offsets)
 	const workers = 8
 	b.Run("range-owned", func(b *testing.B) {
-		counter := make([]int32, n)
+		counter := make([]int64, n)
 		for i := 0; i < b.N; i++ {
 			clear(counter)
 			countRangeOwned(col, counter, workers)
 		}
 	})
 	b.Run("atomic", func(b *testing.B) {
-		counter := make([]int32, n)
+		counter := make([]int64, n)
 		for i := 0; i < b.N; i++ {
 			clear(counter)
 			countAtomic(col, counter, workers)
@@ -525,7 +525,7 @@ func BenchmarkAblationCountersAtomicVsRange(b *testing.B) {
 
 // countRangeOwned mirrors Algorithm 4's counting: each worker owns a
 // contiguous vertex interval, so writes never conflict.
-func countRangeOwned(col *rrr.Collection, counter []int32, workers int) {
+func countRangeOwned(col *rrr.Collection, counter []int64, workers int) {
 	n := len(counter)
 	par.Run(workers, func(rank int) {
 		lo, hi := par.Interval(n, workers, rank)
@@ -535,11 +535,11 @@ func countRangeOwned(col *rrr.Collection, counter []int32, workers int) {
 
 // countAtomic splits samples across workers instead, paying an atomic
 // add per membership.
-func countAtomic(col *rrr.Collection, counter []int32, workers int) {
+func countAtomic(col *rrr.Collection, counter []int64, workers int) {
 	par.ForEach(col.Count(), workers, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			for _, u := range col.Sample(j) {
-				atomic.AddInt32(&counter[u], 1)
+				atomic.AddInt64(&counter[u], 1)
 			}
 		}
 	})
@@ -562,7 +562,7 @@ func BenchmarkAblationCodedStore(b *testing.B) {
 	coded := rrr.FromCollection(plain, rrr.NewRelabeling(rrr.IncidenceOf(plain, 1)))
 	b.Logf("store bytes: plain %d, coded %d (%.2fx)",
 		plain.Bytes(), coded.Bytes(), float64(plain.Bytes())/float64(coded.Bytes()))
-	counter := make([]int32, n)
+	counter := make([]int64, n)
 	b.Run("plain-count", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			clear(counter)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -242,7 +243,7 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	q := RouterQuery{K: req.K, Costs: req.Costs, Budget: req.Budget,
 		Audience: req.Audience, Blocked: req.Blocked}
 	if !q.Plain() {
-		if err := q.asImm().Validate(s.rt.Fleet().NumVertices); err != nil {
+		if err := q.Validate(s.rt.Fleet().NumVertices); err != nil {
 			s.writeJSON(w, http.StatusBadRequest, routerError{Error: err.Error()})
 			return
 		}
@@ -279,6 +280,10 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if req.Stream {
 			enc.Encode(routerError{Error: err.Error()})
+			return
+		}
+		if errors.Is(err, errBusy) {
+			s.writeBackoff(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		status := http.StatusInternalServerError

@@ -10,8 +10,8 @@ import (
 )
 
 // maxSessions bounds concurrently open greedy sessions per shard; past it
-// the oldest session is evicted (its router sees an unknown-session error
-// and treats the shard as failed for that query, never a hang).
+// the oldest session is evicted. Its router sees an in-band unknown-session
+// error and restarts the query on fresh sessions: load, not a failure.
 const maxSessions = 64
 
 // Shard is one replica's slice of the theta RRR samples, query-ready: the
@@ -103,17 +103,25 @@ func (sh *Shard) Info() ShardInfo {
 // Start opens greedy session id (replacing any session already under that
 // id) and returns this shard's per-vertex sample membership counts — the
 // local summand of the fleet-merged coverage counter, read straight off
-// the index degree column as in dist.selectSeedsIndexed.
+// the index degree column as in internal/dist's coverage source.
 func (sh *Shard) Start(id uint64) []int64 {
 	n := sh.Col.NumVertices()
 	counts := make([]int64, n)
 	for v := 0; v < n; v++ {
 		counts[v] = sh.Idx.Degree(graph.Vertex(v))
 	}
+	sh.open(id, rrr.NewBitset(sh.Col.Count()))
+	return counts
+}
+
+// open registers session id over the given covered set (replacing any
+// session already under that id), evicting the oldest session once more
+// than maxSessions are open.
+func (sh *Shard) open(id uint64, covered rrr.Bitset) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.seq++
-	sh.sessions[id] = &session{seq: sh.seq, covered: rrr.NewBitset(sh.Col.Count())}
+	sh.sessions[id] = &session{seq: sh.seq, covered: covered}
 	if len(sh.sessions) > maxSessions {
 		var oldID uint64
 		oldSeq := sh.seq + 1
@@ -124,7 +132,6 @@ func (sh *Shard) Start(id uint64) []int64 {
 		}
 		delete(sh.sessions, oldID)
 	}
-	return counts
 }
 
 // Purge marks seed v's still-uncovered local samples covered and returns
@@ -185,33 +192,16 @@ func (sh *Shard) StartFiltered(id uint64, audience []graph.Vertex) ([]int64, int
 	}
 	covered := rrr.NewBitset(sh.Col.Count())
 	var eligible int64
-	acc := make([]int32, n)
+	counts := make([]int64, n)
 	for j, r := range sh.Roots {
 		if !inAud[r] {
 			covered.Set(j)
 			continue
 		}
 		eligible++
-		sh.Col.AccumMembers(j, acc)
+		sh.Col.AccumMembers(j, counts)
 	}
-	counts := make([]int64, n)
-	for v, c := range acc {
-		counts[v] = int64(c)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.seq++
-	sh.sessions[id] = &session{seq: sh.seq, covered: covered}
-	if len(sh.sessions) > maxSessions {
-		var oldID uint64
-		oldSeq := sh.seq + 1
-		for sid, s := range sh.sessions {
-			if s.seq < oldSeq {
-				oldSeq, oldID = s.seq, sid
-			}
-		}
-		delete(sh.sessions, oldID)
-	}
+	sh.open(id, covered)
 	return counts, eligible, nil
 }
 

@@ -352,107 +352,106 @@ func (st *state) selectSeeds() ([]graph.Vertex, int64, error) {
 	return st.selectSeedsIndexed(rrr.BuildIndex(st.col, st.threads))
 }
 
-// selectSeedsIndexed is the distributed Algorithm 4: global counters via
-// AllReduce, identical local argmax on every rank, local purge by index
-// lookup over the rank's shard of R, AllReduce of the decrements. Returns
-// the seeds and the global covered count; on a collective failure the
-// seeds chosen so far come back alongside the error.
+// selectSeedsIndexed is the distributed Algorithm 4: the greedy engine
+// over this rank's source, identical on every rank. Returns the seeds and
+// the global covered count; on a collective failure the seeds chosen so
+// far come back alongside the error.
 func (st *state) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, error) {
 	n := st.g.NumVertices()
-	k := st.opt.K
-	counter := make([]int64, n)
-	if st.coded != nil {
-		// The shard index's degree column is exactly the population count
-		// CountRange would produce, with no store decode at all.
-		for v := 0; v < n; v++ {
-			counter[v] = idx.Degree(graph.Vertex(v))
-		}
-	} else {
-		st.countLocal(counter, nil)
-	}
-	if err := mpi.AllReduce(st.c, counter, mpi.Sum); err != nil {
-		return nil, 0, err
-	}
+	src := &rankSource{st: st, idx: idx, p: min(st.threads, n), dec: make([]int64, n), arenaOffs: []int64{0}}
+	res, err := imm.Greedy(src, n, imm.Query{K: st.opt.K}, st.threads, nil)
+	return res.Seeds, res.Covered, err
+}
 
-	covered := rrr.NewBitset(st.localCount())
-	chosen := make([]bool, n)
-	seeds := make([]graph.Vertex, 0, k)
-	var coveredCount int64
-	dec := make([]int64, n)
-	var matched []int32
+// rankSource is one rank's coverage source: counts and purges run over
+// the rank's shard of R and are summed across ranks by AllReduce, so every
+// rank holds the global counters and the engine's argmax picks the same
+// seed everywhere, with deterministic tie-breaking.
+type rankSource struct {
+	st      *state
+	idx     *rrr.Index
+	p       int
+	covered rrr.Bitset
+	dec     []int64
+	matched []int32
 	// Coded shards decode purged samples once, sequentially, into a flat
 	// scratch arena; the parallel decrement pass then filter-scans each
 	// decoded sample (members arrive in code order — the decrements
 	// commute, so the counters match the flat path exactly).
-	var arenaVerts []graph.Vertex
-	arenaOffs := []int64{0}
-	for len(seeds) < k {
-		// Identical argmax on every rank: deterministic tie-breaking.
-		best, arg := int64(-1), -1
-		for v := 0; v < n; v++ {
-			if !chosen[v] && counter[v] > best {
-				best, arg = counter[v], v
-			}
+	arenaVerts []graph.Vertex
+	arenaOffs  []int64
+}
+
+func (s *rankSource) Start(counter []int64) (int64, error) {
+	st := s.st
+	if st.coded != nil {
+		// The shard index's degree column is exactly the population count
+		// CountRange would produce, with no store decode at all.
+		for v := range counter {
+			counter[v] = s.idx.Degree(graph.Vertex(v))
 		}
-		if arg < 0 {
-			break
+	} else {
+		par.Run(s.p, func(rank int) {
+			vl, vh := par.Interval(len(counter), s.p, rank)
+			st.col.CountRange(counter, nil, graph.Vertex(vl), graph.Vertex(vh))
+		})
+	}
+	s.covered = rrr.NewBitset(st.localCount())
+	return st.global, mpi.AllReduce(st.c, counter, mpi.Sum)
+}
+
+// Purge is the local purge: the seed's uncovered local samples come
+// straight off its incidence list (marked covered before the parallel
+// region); decrement accumulation stays multithreaded over vertex
+// intervals, synchronization-free as in Algorithm 4. The decrements are
+// then summed across ranks.
+func (s *rankSource) Purge(v graph.Vertex, counter []int64) error {
+	st, n, dec := s.st, len(counter), s.dec
+	clear(dec)
+	s.matched = s.matched[:0]
+	for _, j := range s.idx.SamplesOf(v) {
+		if s.covered.Get(int(j)) {
+			continue
 		}
-		v := graph.Vertex(arg)
-		seeds = append(seeds, v)
-		chosen[arg] = true
-		coveredCount += counter[v]
-		// Local purge: the seed's uncovered local samples come straight
-		// off its incidence list (marked covered before the parallel
-		// region); decrement accumulation stays multithreaded over vertex
-		// intervals, synchronization-free as in Algorithm 4.
-		clear(dec)
-		matched = matched[:0]
-		for _, j := range idx.SamplesOf(v) {
-			if covered.Get(int(j)) {
-				continue
-			}
-			covered.Set(int(j))
-			matched = append(matched, j)
+		s.covered.Set(int(j))
+		s.matched = append(s.matched, j)
+	}
+	if st.coded != nil {
+		s.arenaVerts = s.arenaVerts[:0]
+		s.arenaOffs = s.arenaOffs[:1]
+		for _, j := range s.matched {
+			s.arenaVerts = st.coded.AppendMembers(int(j), s.arenaVerts)
+			s.arenaOffs = append(s.arenaOffs, int64(len(s.arenaVerts)))
 		}
-		p := st.threads
-		if p > n {
-			p = n
-		}
-		if st.coded != nil {
-			arenaVerts = arenaVerts[:0]
-			arenaOffs = arenaOffs[:1]
-			for _, j := range matched {
-				arenaVerts = st.coded.AppendMembers(int(j), arenaVerts)
-				arenaOffs = append(arenaOffs, int64(len(arenaVerts)))
-			}
-			par.Run(p, func(rank int) {
-				vl, vh := par.Interval(n, p, rank)
-				for s := 0; s < len(arenaOffs)-1; s++ {
-					for _, u := range arenaVerts[arenaOffs[s]:arenaOffs[s+1]] {
-						if u >= graph.Vertex(vl) && u < graph.Vertex(vh) {
-							dec[u]++
-						}
-					}
-				}
-			})
-		} else {
-			par.Run(p, func(rank int) {
-				vl, vh := par.Interval(n, p, rank)
-				for _, j := range matched {
-					for _, u := range st.col.RangeOf(int(j), graph.Vertex(vl), graph.Vertex(vh)) {
+		verts, offs := s.arenaVerts, s.arenaOffs
+		par.Run(s.p, func(rank int) {
+			vl, vh := par.Interval(n, s.p, rank)
+			for i := 0; i < len(offs)-1; i++ {
+				for _, u := range verts[offs[i]:offs[i+1]] {
+					if u >= graph.Vertex(vl) && u < graph.Vertex(vh) {
 						dec[u]++
 					}
 				}
-			})
-		}
-		if err := mpi.AllReduce(st.c, dec, mpi.Sum); err != nil {
-			return seeds, coveredCount, err
-		}
-		for u := range counter {
-			counter[u] -= dec[u]
-		}
+			}
+		})
+	} else {
+		col, matched := st.col, s.matched
+		par.Run(s.p, func(rank int) {
+			vl, vh := par.Interval(n, s.p, rank)
+			for _, j := range matched {
+				for _, u := range col.RangeOf(int(j), graph.Vertex(vl), graph.Vertex(vh)) {
+					dec[u]++
+				}
+			}
+		})
 	}
-	return seeds, coveredCount, nil
+	if err := mpi.AllReduce(st.c, dec, mpi.Sum); err != nil {
+		return err
+	}
+	for u := range counter {
+		counter[u] -= dec[u]
+	}
+	return nil
 }
 
 // localCount returns the number of samples this rank's resident shard
@@ -462,22 +461,4 @@ func (st *state) localCount() int {
 		return st.coded.Count()
 	}
 	return st.col.Count()
-}
-
-// countLocal fills counter with this rank's per-vertex sample membership
-// counts, multithreaded over vertex intervals.
-func (st *state) countLocal(counter []int64, covered []bool) {
-	n := st.g.NumVertices()
-	p := st.threads
-	if p > n {
-		p = n
-	}
-	cnt32 := make([]int32, n)
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		st.col.CountRange(cnt32, covered, graph.Vertex(vl), graph.Vertex(vh))
-	})
-	for i, c := range cnt32 {
-		counter[i] = int64(c)
-	}
 }

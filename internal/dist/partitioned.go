@@ -514,13 +514,13 @@ func (st *partState) localCount() int {
 func (st *partState) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, error) {
 	p := st.part
 	width := int(p.hi - p.lo)
-	counter := make([]int32, p.n) // only [lo, hi) is used
+	counter := make([]int64, p.n) // only [lo, hi) is used
 	if st.coded != nil {
 		// The shard index's degree column equals the CountRange population
 		// count over the owned interval (members outside it were never
 		// stored in this rank's shard).
 		for v := p.lo; v < p.hi; v++ {
-			counter[v] = int32(idx.Degree(v))
+			counter[v] = idx.Degree(v)
 		}
 	} else {
 		st.col.CountRange(counter, nil, p.lo, p.hi)
@@ -538,8 +538,8 @@ func (st *partState) selectSeedsIndexed(idx *rrr.Index) ([]graph.Vertex, int64, 
 			if chosen[v-p.lo] {
 				continue
 			}
-			if c := int64(counter[v]); c > best {
-				best, arg = c, int64(v)
+			if counter[v] > best {
+				best, arg = counter[v], int64(v)
 			}
 		}
 		// Global argmax: gather all (best, arg) pairs.

@@ -170,7 +170,7 @@ func (c *CodedCollection) AppendMembers(i int, buf []graph.Vertex) []graph.Verte
 // frequency relabeling most gaps fit one byte (that is the point of the
 // relabeling), so the common case is one branch, one add, one table
 // lookup per member.
-func (c *CodedCollection) AccumMembers(i int, counts []int32) {
+func (c *CodedCollection) AccumMembers(i int, counts []int64) {
 	p := c.payload(i)
 	prev := uint32(0)
 	first := true
@@ -296,7 +296,7 @@ func (c *CodedCollection) visitRange(i int, vl, vh graph.Vertex, visit func(grap
 // CountAll accumulates every sample's membership into counter, skipping
 // samples marked in covered (may be nil to count everything) — the coded
 // analog of Collection.CountRange over the full vertex range.
-func (c *CodedCollection) CountAll(counter []int32, covered Bitset) {
+func (c *CodedCollection) CountAll(counter []int64, covered Bitset) {
 	for i := 0; i < c.count; i++ {
 		if covered != nil && covered.Get(i) {
 			continue

@@ -96,8 +96,8 @@ func TestCodedCountAllMatchesFlat(t *testing.T) {
 		covered.Set(17)
 		coveredBool := make([]bool, 25)
 		coveredBool[3], coveredBool[17] = true, true
-		a := make([]int32, 100)
-		b := make([]int32, 100)
+		a := make([]int64, 100)
+		b := make([]int64, 100)
 		c.CountAll(a, covered)
 		flat.CountRange(b, coveredBool, 0, graph.Vertex(100))
 		if !slices.Equal(a, b) {
@@ -205,7 +205,7 @@ func TestCodedRecode(t *testing.T) {
 // TestRelabelingFrequencyOrder pins the ordering contract: frequency
 // descending, ties broken by ascending original id.
 func TestRelabelingFrequencyOrder(t *testing.T) {
-	freq := []int32{2, 5, 2, 0, 5, 1}
+	freq := []int64{2, 5, 2, 0, 5, 1}
 	r := NewRelabeling(freq)
 	// freq 5: vertices 1, 4; freq 2: vertices 0, 2; freq 1: vertex 5; freq 0: vertex 3.
 	want := []uint32{1, 4, 0, 2, 5, 3}

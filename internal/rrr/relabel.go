@@ -28,7 +28,7 @@ type Relabeling struct {
 // NewRelabeling builds the frequency-ordered relabeling for a universe of
 // len(freq) vertices, where freq[v] counts the samples containing v.
 // Ordering is (frequency descending, original id ascending).
-func NewRelabeling(freq []int32) *Relabeling {
+func NewRelabeling(freq []int64) *Relabeling {
 	n := len(freq)
 	r := &Relabeling{code: make([]uint32, n), orig: make([]uint32, n)}
 	for v := range r.orig {
@@ -37,13 +37,13 @@ func NewRelabeling(freq []int32) *Relabeling {
 	// Counting sort by frequency bucket keeps construction O(n + maxFreq)
 	// and, because vertices are scanned in ascending id within each bucket,
 	// realizes the (freq desc, id asc) tie-break without a comparison sort.
-	maxFreq := int32(0)
+	maxFreq := int64(0)
 	for _, f := range freq {
 		if f > maxFreq {
 			maxFreq = f
 		}
 	}
-	buckets := make([]int32, int(maxFreq)+2)
+	buckets := make([]int64, int(maxFreq)+2)
 	for _, f := range freq {
 		buckets[maxFreq-f]++
 	}
@@ -111,9 +111,9 @@ func (r *Relabeling) Bytes() int64 {
 // containing it, with p workers over interval-owned counters (the same
 // no-atomics discipline as BuildIndex pass 1). This frequency vector is
 // the input to NewRelabeling.
-func IncidenceOf(col *Collection, p int) []int32 {
+func IncidenceOf(col *Collection, p int) []int64 {
 	n := col.NumVertices()
-	freq := make([]int32, n)
+	freq := make([]int64, n)
 	if p <= 0 {
 		p = par.DefaultWorkers()
 	}

@@ -132,7 +132,7 @@ func (c *Collection) CheckInvariants() int {
 // CountRange accumulates, into counter, the number of samples each vertex
 // in [vl, vh) belongs to, skipping samples marked covered. This is the
 // first phase of Algorithm 4 executed by the rank owning [vl, vh).
-func (c *Collection) CountRange(counter []int32, covered []bool, vl, vh graph.Vertex) {
+func (c *Collection) CountRange(counter []int64, covered []bool, vl, vh graph.Vertex) {
 	for i := 0; i < c.Count(); i++ {
 		if covered != nil && covered[i] {
 			continue

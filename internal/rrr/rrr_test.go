@@ -156,16 +156,16 @@ func TestCountRange(t *testing.T) {
 	c.Append([]graph.Vertex{0, 2, 4})
 	c.Append([]graph.Vertex{2, 3})
 	c.Append([]graph.Vertex{4, 5})
-	counter := make([]int32, 6)
+	counter := make([]int64, 6)
 	c.CountRange(counter, nil, 0, 6)
-	want := []int32{1, 0, 2, 1, 2, 1}
+	want := []int64{1, 0, 2, 1, 2, 1}
 	if !slices.Equal(counter, want) {
 		t.Fatalf("counter = %v, want %v", counter, want)
 	}
 	// Restrict to [2,4): only vertices 2 and 3 counted.
-	counter2 := make([]int32, 6)
+	counter2 := make([]int64, 6)
 	c.CountRange(counter2, nil, 2, 4)
-	want2 := []int32{0, 0, 2, 1, 0, 0}
+	want2 := []int64{0, 0, 2, 1, 0, 0}
 	if !slices.Equal(counter2, want2) {
 		t.Fatalf("counter2 = %v, want %v", counter2, want2)
 	}
@@ -175,9 +175,9 @@ func TestCountRangeSkipsCovered(t *testing.T) {
 	c := NewCollection(4)
 	c.Append([]graph.Vertex{0, 1})
 	c.Append([]graph.Vertex{1, 2})
-	counter := make([]int32, 4)
+	counter := make([]int64, 4)
 	c.CountRange(counter, []bool{true, false}, 0, 4)
-	want := []int32{0, 1, 1, 0}
+	want := []int64{0, 1, 1, 0}
 	if !slices.Equal(counter, want) {
 		t.Fatalf("counter = %v, want %v", counter, want)
 	}

@@ -210,7 +210,7 @@ func LoadSketch(path string, g *graph.Graph, workers int, store imm.StoreKind, m
 		// the sample set.
 		var relab *rrr.Relabeling
 		if wantCoded {
-			freq := make([]int32, col.NumVertices())
+			freq := make([]int64, col.NumVertices())
 			col.CountAll(freq, nil)
 			relab = rrr.NewRelabeling(freq)
 		}
