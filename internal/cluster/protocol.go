@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -243,8 +244,14 @@ func encodeSpreadResp(covered, eligible int64) []byte {
 
 func encodeAckResp() []byte { return []byte{statusOK} }
 
+// errRefused marks a shard's in-band refusal: a well-formed statusFail
+// envelope from a healthy shard (unknown session, missing root column).
+// Every other error from a Conn — a transport failure or a malformed
+// reply — fails the shard over.
+var errRefused = errors.New("cluster: shard error")
+
 // checkResp strips the status byte, converting a statusFail envelope into
-// an error.
+// an errRefused error.
 func checkResp(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("cluster: empty response")
@@ -260,7 +267,7 @@ func checkResp(b []byte) ([]byte, error) {
 		if len(b) < 3+l {
 			return nil, fmt.Errorf("cluster: truncated error response")
 		}
-		return nil, fmt.Errorf("cluster: shard error: %s", b[3:3+l])
+		return nil, fmt.Errorf("%w: %s", errRefused, b[3:3+l])
 	default:
 		return nil, fmt.Errorf("cluster: unknown response status %d", b[0])
 	}
