@@ -21,7 +21,10 @@
 // shard snapshots or fresh builds) and blocked (competitive selection) —
 // and POST /v1/spread estimates a caller-supplied seed set's influence
 // across the fleet; both routed byte-identically to a single process
-// holding all theta samples. GET /healthz reports
+// holding all theta samples. The fleet serves one sketch configuration:
+// a body naming model, epsilon or seed is refused with 400. Past
+// -concurrency running and -queue waiting queries, the router answers 429
+// with Retry-After. GET /healthz reports
 // ok or degraded with the live shard count; GET /v1/metrics exposes the
 // router counters. SIGINT/SIGTERM drains in-flight queries (bounded by
 // -drain-timeout) and, with -metrics-json, writes a RunReport before exit.
@@ -48,7 +51,6 @@ func main() {
 		netTimeout   = flag.Duration("net-timeout", 2*time.Second, "per-operation shard deadline; bounds failure detection")
 		concurrency  = flag.Int("concurrency", 4, "routed queries executing at once")
 		queue        = flag.Int("queue", 16, "queries waiting for a slot before 429s start")
-		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight queries on shutdown")
 		metricsJSON  = flag.String("metrics-json", "", "write the router RunReport here on exit")
 	)
@@ -79,7 +81,7 @@ func main() {
 	}
 
 	srv := influmax.ServeRouter(rt, influmax.RouterServerConfig{
-		MaxConcurrent: *concurrency, MaxQueue: *queue, RetryAfter: *retryAfter,
+		MaxConcurrent: *concurrency, MaxQueue: *queue,
 	})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

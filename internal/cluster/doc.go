@@ -24,6 +24,13 @@
 // restarts on the survivors, replays the seeds already chosen, and the
 // router serves a degraded result naming the failed shards. A shard that
 // evicted the query's session under load is not failed: the query
-// restarts on the same shards. DESIGN.md §16 and §18 are the normative
-// spec.
+// restarts on the same shards.
+//
+// RouterServer is the fleet's HTTP front. It embeds the same
+// internal/front gate as a single immserve (admission, decoding, drain,
+// metrics, under router/* instruments) and adds only NDJSON streaming,
+// the degraded/failedShards fields and the eviction give-up's 503. A
+// fleet serves one sketch configuration, so requests that override the
+// model, epsilon or seed are refused with 400. DESIGN.md §16 and §18 are
+// the normative spec.
 package cluster

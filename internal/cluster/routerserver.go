@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 	"net/http"
-	"strconv"
-	"sync/atomic"
-	"time"
 
+	"influmax/internal/front"
 	"influmax/internal/graph"
+	"influmax/internal/imm"
 	"influmax/internal/metrics"
 	"influmax/internal/trace"
 )
@@ -22,28 +18,17 @@ type RouterServerConfig struct {
 	// bounds queries waiting past that before 429s (<= 0: 16).
 	MaxConcurrent int
 	MaxQueue      int
-	// RetryAfter is the hint stamped on 429/503 responses (<= 0: 1s).
-	RetryAfter time.Duration
 }
 
 // RouterServer is the HTTP front of a Router: POST /v1/seeds (JSON, with
-// an NDJSON streaming mode for partial results), GET /healthz, GET
-// /v1/metrics — the same surface shape as a single immserve, so clients
-// move from one replica to a fleet by changing the address.
+// an NDJSON streaming mode for partial results), POST /v1/spread, GET
+// /healthz, GET /v1/metrics — the same surface shape as a single
+// immserve, so clients move from one replica to a fleet by changing the
+// address. The embedded front (internal/front) owns admission, decoding
+// and the HTTP lifecycle; its instruments are router/*.
 type RouterServer struct {
-	rt  *Router
-	cfg RouterServerConfig
-	reg *metrics.Registry
-
-	admitLimit int64
-	admitted   atomic.Int64
-	running    chan struct{}
-	draining   atomic.Bool
-
-	mux     *http.ServeMux
-	httpSrv *http.Server
-
-	mRejected *metrics.Counter
+	*front.Front
+	rt *Router
 }
 
 // NewRouterServer wraps rt; the router's metrics registry doubles as the
@@ -55,54 +40,11 @@ func NewRouterServer(rt *Router, cfg RouterServerConfig) *RouterServer {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 16
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	s := &RouterServer{
-		rt:         rt,
-		cfg:        cfg,
-		reg:        rt.reg,
-		admitLimit: int64(cfg.MaxConcurrent + cfg.MaxQueue),
-		running:    make(chan struct{}, cfg.MaxConcurrent),
-		mRejected:  rt.reg.Counter("router/rejected"),
-	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/seeds", s.handleSeeds)
-	s.mux.HandleFunc("POST /v1/spread", s.handleSpread)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s := &RouterServer{Front: front.New(rt.reg, "router", cfg.MaxConcurrent, cfg.MaxQueue, 0), rt: rt}
+	s.HandleFunc("POST /v1/seeds", s.handleSeeds)
+	s.HandleFunc("POST /v1/spread", s.handleSpread)
+	s.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
-}
-
-// Handler returns the router's HTTP handler.
-func (s *RouterServer) Handler() http.Handler { return s.mux }
-
-// Start listens on addr and serves until Shutdown.
-func (s *RouterServer) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.httpSrv = &http.Server{Handler: s.mux}
-	go s.httpSrv.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Shutdown drains: health flips to 503, in-flight queries finish bounded
-// by ctx.
-func (s *RouterServer) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.httpSrv != nil {
-		return s.httpSrv.Shutdown(ctx)
-	}
-	for s.admitted.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
 }
 
 // Report assembles the router's RunReport: fleet shape, per-shard
@@ -128,25 +70,8 @@ func (s *RouterServer) Report() *metrics.RunReport {
 	}
 	s.rt.mu.Unlock()
 	rep.SamplesGenerated = total
-	rep.Metrics = s.reg.Snapshot()
+	rep.Metrics = s.rt.reg.Snapshot()
 	return rep
-}
-
-// routerSeedsRequest is the POST /v1/seeds body; Stream selects NDJSON
-// partial-result streaming. The query-diversity fields (DESIGN.md §17)
-// are all optional — absent, the request is the classic top-k and the
-// response is unchanged from earlier releases.
-type routerSeedsRequest struct {
-	K      int  `json:"k"`
-	Stream bool `json:"stream,omitempty"`
-	// Costs (per-vertex, length n) and Budget select cost-aware greedy;
-	// Budget alone implies unit costs.
-	Costs  []float64 `json:"costs,omitempty"`
-	Budget float64   `json:"budget,omitempty"`
-	// Audience restricts coverage to samples rooted in it (targeted
-	// influence); Blocked excludes a rival's seeds and their coverage.
-	Audience []graph.Vertex `json:"audience,omitempty"`
-	Blocked  []graph.Vertex `json:"blocked,omitempty"`
 }
 
 // routerSeedsResponse is the non-streaming reply, and the final line of a
@@ -171,13 +96,6 @@ type routerSeedsResponse struct {
 	SpentBudget float64 `json:"spentBudget,omitempty"`
 }
 
-// routerSpreadRequest is the POST /v1/spread body: estimate the influence
-// of a caller-supplied seed set, optionally restricted to an audience.
-type routerSpreadRequest struct {
-	Seeds    []graph.Vertex `json:"seeds"`
-	Audience []graph.Vertex `json:"audience,omitempty"`
-}
-
 // routerSpreadResponse is the POST /v1/spread reply.
 type routerSpreadResponse struct {
 	Covered          int64   `json:"covered"`
@@ -199,62 +117,26 @@ type streamedSeed struct {
 	Gain  int64        `json:"gain"`
 }
 
-type routerError struct {
-	Error string `json:"error"`
-}
-
-func (s *RouterServer) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *RouterServer) writeBackoff(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	s.writeJSON(w, status, routerError{Error: fmt.Sprintf(format, args...)})
-}
-
+// handleSeeds serves POST /v1/seeds: the routed greedy selection, as one
+// JSON document or streamed as NDJSON. The fleet serves one sketch
+// configuration, so model/epsilon/seed overrides are refused.
 func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if s.admitted.Add(1) > s.admitLimit {
-		s.admitted.Add(-1)
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	}
-	defer s.admitted.Add(-1)
-
-	var req routerSeedsRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	if req.K < 1 || req.K > s.rt.Fleet().KMax {
-		s.writeJSON(w, http.StatusBadRequest, routerError{
-			Error: fmt.Sprintf("k = %d, want 1 <= k <= kMax = %d", req.K, s.rt.Fleet().KMax)})
-		return
-	}
-	q := RouterQuery{K: req.K, Costs: req.Costs, Budget: req.Budget,
-		Audience: req.Audience, Blocked: req.Blocked}
-	if !q.Plain() {
-		if err := q.Validate(s.rt.Fleet().NumVertices); err != nil {
-			s.writeJSON(w, http.StatusBadRequest, routerError{Error: err.Error()})
-			return
+	fleet := s.rt.Fleet()
+	var (
+		req front.SeedsRequest
+		q   imm.Query
+	)
+	_, done, ok := s.Admit(w, r, &req, func() (err error) {
+		if err = req.Fixed("the cluster router"); err != nil {
+			return err
 		}
-	}
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-r.Context().Done():
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", r.Context().Err())
+		q, err = req.Query(imm.Query{}, fleet.KMax, fleet.NumVertices)
+		return err
+	})
+	if !ok {
 		return
 	}
+	defer done()
 
 	var onSeed func(i int, v graph.Vertex, gain int64)
 	var enc *json.Encoder
@@ -279,23 +161,15 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	res, err := s.rt.SelectQuery(q, onSeed)
 	if err != nil {
 		if req.Stream {
-			enc.Encode(routerError{Error: err.Error()})
+			enc.Encode(front.ErrorResponse{Error: err.Error()})
 			return
 		}
-		if errors.Is(err, errBusy) {
-			s.writeBackoff(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		status := http.StatusInternalServerError
-		if err == ErrNoShards {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeJSON(w, status, routerError{Error: err.Error()})
+		s.writeFailure(w, err)
 		return
 	}
 	resp := routerSeedsResponse{
-		K:                req.K,
-		KMax:             s.rt.Fleet().KMax,
+		K:                q.K,
+		KMax:             fleet.KMax,
 		Seeds:            res.Seeds,
 		Gains:            res.Gains,
 		CoverageFraction: res.CoverageFraction,
@@ -316,62 +190,30 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(resp)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSpread serves POST /v1/spread: the routed seed-set spread
 // estimate, under the same admission control as /v1/seeds.
 func (s *RouterServer) handleSpread(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if s.admitted.Add(1) > s.admitLimit {
-		s.admitted.Add(-1)
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	}
-	defer s.admitted.Add(-1)
-
-	var req routerSpreadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	n := s.rt.Fleet().NumVertices
-	if len(req.Seeds) == 0 {
-		s.writeJSON(w, http.StatusBadRequest, routerError{Error: "spread needs at least one seed"})
-		return
-	}
-	for _, v := range append(append([]graph.Vertex{}, req.Seeds...), req.Audience...) {
-		if int(v) >= n {
-			s.writeJSON(w, http.StatusBadRequest, routerError{
-				Error: fmt.Sprintf("vertex %d out of range (n = %d)", v, n)})
-			return
+	var req front.SpreadRequest
+	_, done, ok := s.Admit(w, r, &req, func() error {
+		if err := req.Fixed("the cluster router"); err != nil {
+			return err
 		}
-	}
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-r.Context().Done():
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", r.Context().Err())
+		return req.Validate(s.rt.Fleet().NumVertices)
+	})
+	if !ok {
 		return
 	}
+	defer done()
 
 	res, err := s.rt.Spread(req.Seeds, req.Audience)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if err == ErrNoShards {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeJSON(w, status, routerError{Error: err.Error()})
+		s.writeFailure(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, routerSpreadResponse{
+	front.WriteJSON(w, http.StatusOK, routerSpreadResponse{
 		Covered:          res.Covered,
 		Eligible:         res.Eligible,
 		CoverageFraction: res.CoverageFraction,
@@ -384,6 +226,20 @@ func (s *RouterServer) handleSpread(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeFailure answers a routed query that failed: a fleet too busy to
+// hold its sessions (errBusy) is told to back off, an empty fleet
+// (ErrNoShards) is unavailable, anything else is a 500.
+func (s *RouterServer) writeFailure(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errBusy):
+		front.WriteBackoff(w, http.StatusServiceUnavailable, "%v", err)
+	case err == ErrNoShards:
+		s.Error(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		s.Error(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
 // handleHealthz: 200 while at least one shard is alive and not draining;
 // 503 otherwise. The body carries the alive/fleet split either way.
 func (s *RouterServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -392,22 +248,14 @@ func (s *RouterServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	state := "ok"
 	switch {
-	case s.draining.Load():
+	case s.Draining():
 		status, state = http.StatusServiceUnavailable, "draining"
 	case alive == 0:
 		status, state = http.StatusServiceUnavailable, "no shards"
 	case len(failed) > 0:
 		state = "degraded"
 	}
-	s.writeJSON(w, status, map[string]any{
+	front.WriteJSON(w, status, map[string]any{
 		"status": state, "shards": s.rt.Shards(), "alive": alive, "failedShards": failed,
 	})
-}
-
-func (s *RouterServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	if snap == nil {
-		snap = &metrics.Snapshot{}
-	}
-	s.writeJSON(w, http.StatusOK, snap)
 }

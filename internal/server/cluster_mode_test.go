@@ -231,10 +231,10 @@ func TestQueueDepthGauge(t *testing.T) {
 	go post()
 	<-entered
 	go post()
-	for s.admitted.Load() != 2 {
+	for s.Admitted() != 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.mQueueDepth.Value(); got != 2 {
+	if got := s.reg.Gauge("server/queue-depth").Value(); got != 2 {
 		t.Fatalf("queue-depth gauge = %d with 2 admitted, want 2", got)
 	}
 
@@ -261,9 +261,9 @@ func TestQueueDepthGauge(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for s.mQueueDepth.Value() != 0 {
+	for s.reg.Gauge("server/queue-depth").Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue-depth gauge stuck at %d after drain", s.mQueueDepth.Value())
+			t.Fatalf("queue-depth gauge stuck at %d after drain", s.reg.Gauge("server/queue-depth").Value())
 		}
 		time.Sleep(time.Millisecond)
 	}

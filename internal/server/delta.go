@@ -1,10 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
+	"influmax/internal/front"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
 	"influmax/internal/rrr"
@@ -143,26 +143,24 @@ type deltaOutcome struct {
 // batch already applied and just report it.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.Dynamic {
-		s.writeError(w, http.StatusBadRequest,
+		s.Error(w, http.StatusBadRequest,
 			"server is not in dynamic mode; /v1/graph/delta requires it")
 		return
 	}
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
+	if s.Draining() {
+		front.WriteBackoff(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var req deltaRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch: ops is required")
+		s.Error(w, http.StatusBadRequest, "empty batch: ops is required")
 		return
 	}
 	if len(req.Ops) > s.cfg.MaxDeltaOps {
-		s.writeError(w, http.StatusBadRequest,
+		s.Error(w, http.StatusBadRequest,
 			"batch of %d ops exceeds the %d-op limit", len(req.Ops), s.cfg.MaxDeltaOps)
 		return
 	}
@@ -174,7 +172,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		case "delete":
 			d[i].Kind = graph.DeltaDelete
 		default:
-			s.writeError(w, http.StatusBadRequest,
+			s.Error(w, http.StatusBadRequest,
 				"ops[%d].op = %q, want \"insert\" or \"delete\"", i, op.Op)
 			return
 		}
@@ -200,13 +198,13 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if out.err != nil {
 		var de *graph.DeltaError
 		if errors.As(out.err, &de) {
-			s.writeError(w, http.StatusBadRequest, "%v", out.err)
+			s.Error(w, http.StatusBadRequest, "%v", out.err)
 		} else {
-			s.writeError(w, http.StatusInternalServerError, "applying delta: %v", out.err)
+			s.Error(w, http.StatusInternalServerError, "applying delta: %v", out.err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, out.resp)
+	front.WriteJSON(w, http.StatusOK, out.resp)
 }
 
 // drainDeltasLocked folds every queued batch into the sketch. A multi-

@@ -33,10 +33,15 @@
 //     thundering herd of queries for an uncached configuration triggers
 //     exactly one sampling run; everyone else waits on it (or times out
 //     while it keeps building in the background).
-//   - Admission control: a bounded worker pool with a queue-depth limit.
-//     Past the limit the server answers 429 with Retry-After instead of
-//     queueing unboundedly; per-request timeouts bound the wait, and
-//     Shutdown drains in-flight queries before returning.
+//   - Front: the embedded internal/front gate, shared with the cluster
+//     router, admits each query (a bounded worker pool with a queue-depth
+//     limit: 429 with Retry-After past it, 503 when the per-request
+//     timeout runs out), decodes its body into the shared request types,
+//     and owns Start, Shutdown (which drains admitted queries) and
+//     /v1/metrics. The server adds what only it has: the sketch-key
+//     overrides, the sketch cache, dynamic epochs and the per-query
+//     RunReport. Both query handlers share one prelude for admission,
+//     decoding and sketch resolution.
 //   - Operations: /healthz (503 while draining), /v1/metrics (the
 //     metrics.Registry snapshot as JSON), and opt-in net/http/pprof.
 package server

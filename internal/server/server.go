@@ -2,19 +2,17 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"influmax/internal/cluster"
 	"influmax/internal/diffuse"
+	"influmax/internal/front"
 	"influmax/internal/graph"
 	"influmax/internal/imm"
 	"influmax/internal/metrics"
@@ -63,13 +61,6 @@ type Config struct {
 	// Retry-After while any build it triggered keeps running (<= 0
 	// defaults to 60s).
 	QueryTimeout time.Duration
-	// RetryAfter is the hint stamped on 429/503 responses (<= 0 defaults
-	// to 1s).
-	RetryAfter time.Duration
-	// MaxSketches bounds resident sketches across distinct query
-	// configurations; the oldest finished sketch is evicted past it
-	// (<= 0 defaults to 4).
-	MaxSketches int
 	// Metrics receives server and engine instrumentation; a fresh registry
 	// is created when nil (exposed either way at /v1/metrics).
 	Metrics *metrics.Registry
@@ -127,36 +118,26 @@ func (c Config) withDefaults() Config {
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 60 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxSketches <= 0 {
-		c.MaxSketches = 4
-	}
 	if c.MaxDeltaOps <= 0 {
 		c.MaxDeltaOps = 4096
 	}
 	return c
 }
 
+// maxSketches bounds resident sketches across distinct query
+// configurations; the oldest finished sketch is evicted past it.
+const maxSketches = 4
+
 // Server is the resident sketch-serving subsystem. Create one with New,
 // mount Handler on any mux or listener (or use Start), and stop it with
-// Shutdown, which drains in-flight queries.
+// Shutdown, which drains in-flight queries. The embedded front
+// (internal/front) owns admission, decoding and the HTTP lifecycle.
 type Server struct {
+	*front.Front
 	cfg    Config
 	digest uint64
 	reg    *metrics.Registry
 	cache  *sketchCache
-
-	// Admission: admitted counts running+waiting queries (bounded by
-	// admitLimit); running is the worker pool.
-	admitLimit int64
-	admitted   atomic.Int64
-	running    chan struct{}
-
-	draining atomic.Bool
-	mux      *http.ServeMux
-	httpSrv  *http.Server
 
 	// Dynamic mode: dynMu serializes mutations to dyn; dynSk holds the
 	// immutable query-ready view, republished after every batch, that
@@ -173,12 +154,12 @@ type Server struct {
 	deltaMu      sync.Mutex
 	deltaPending []*pendingDelta
 
-	mQueries, mRejected, mTimeouts, mErrors, mBuilds, mDeltaBatches, mCoalesced *metrics.Counter
-	mQueryBudgeted, mQueryTargeted, mQueryBlocked, mQuerySpread                 *metrics.Counter
-	mInflight, mSketches, mQueueDepth                                           *metrics.Gauge
-	mLatency                                                                    *metrics.Histogram
+	mQueries, mBuilds, mDeltaBatches, mCoalesced                *metrics.Counter
+	mQueryBudgeted, mQueryTargeted, mQueryBlocked, mQuerySpread *metrics.Counter
+	mSketches                                                   *metrics.Gauge
+	mLatency                                                    *metrics.Histogram
 
-	// testQueryHook, when set, runs inside the seeds handler after pool
+	// testQueryHook, when set, runs inside the query handlers after pool
 	// admission — the seam load and drain tests use to hold a query in
 	// flight deterministically.
 	testQueryHook func()
@@ -206,26 +187,20 @@ func New(cfg Config) (*Server, error) {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
+		Front:          front.New(reg, "server", cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueryTimeout),
 		cfg:            cfg,
 		digest:         cfg.Graph.Digest(),
 		reg:            reg,
-		cache:          newSketchCache(cfg.MaxSketches),
-		admitLimit:     int64(cfg.MaxConcurrent + cfg.MaxQueue),
-		running:        make(chan struct{}, cfg.MaxConcurrent),
+		cache:          newSketchCache(maxSketches),
 		mQueries:       reg.Counter("server/queries"),
 		mDeltaBatches:  reg.Counter("server/delta-batches"),
 		mCoalesced:     reg.Counter("server/delta-coalesced"),
-		mRejected:      reg.Counter("server/rejected"),
-		mTimeouts:      reg.Counter("server/timeouts"),
-		mErrors:        reg.Counter("server/errors"),
 		mBuilds:        reg.Counter("server/sketch-builds"),
 		mQueryBudgeted: reg.Counter("server/query-budgeted"),
 		mQueryTargeted: reg.Counter("server/query-targeted"),
 		mQueryBlocked:  reg.Counter("server/query-blocked"),
 		mQuerySpread:   reg.Counter("server/query-spread"),
-		mInflight:      reg.Gauge("server/inflight"),
 		mSketches:      reg.Gauge("server/sketches"),
-		mQueueDepth:    reg.Gauge("server/queue-depth"),
 		mLatency:       reg.Histogram("server/query-us"),
 	}
 	if cfg.Sketch != nil && cfg.Sketch.Key.GraphDigest != s.digest {
@@ -252,30 +227,38 @@ func New(cfg Config) (*Server, error) {
 		s.cache.put(cfg.Sketch)
 		s.mSketches.Set(int64(s.cache.len()))
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/seeds", s.handleSeeds)
-	s.mux.HandleFunc("POST /v1/spread", s.handleSpread)
-	s.mux.HandleFunc("POST /v1/graph/delta", s.handleDelta)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	if sh := cfg.ClusterShard; sh != nil {
-		s.mux.HandleFunc("POST "+cluster.ShardOpPath, sh.ServeOp)
-		s.mux.HandleFunc("GET /v1/shard/info", sh.ServeInfo)
-		s.mux.HandleFunc("GET /v1/snapshot", sh.ServeSnapshot)
+	s.HandleFunc("POST /v1/graph/delta", s.handleDelta)
+	s.HandleFunc("GET /healthz", s.handleHealthz)
+	if sh := cfg.ClusterShard; sh == nil {
+		s.HandleFunc("POST /v1/seeds", s.handleSeeds)
+		s.HandleFunc("POST /v1/spread", s.handleSpread)
+	} else {
+		// A shard holds a slice of the samples: answering a query from
+		// it alone would be silently wrong.
+		refuse := func(w http.ResponseWriter, r *http.Request) {
+			if s.Draining() {
+				front.WriteBackoff(w, http.StatusServiceUnavailable, "draining")
+				return
+			}
+			s.Error(w, http.StatusBadRequest,
+				"this replica serves shard %d of %d; POST %s to the cluster router instead",
+				sh.ShardIdx, sh.ShardCount, r.URL.Path)
+		}
+		s.HandleFunc("POST /v1/seeds", refuse)
+		s.HandleFunc("POST /v1/spread", refuse)
+		s.HandleFunc("POST "+cluster.ShardOpPath, sh.ServeOp)
+		s.HandleFunc("GET /v1/shard/info", sh.ServeInfo)
+		s.HandleFunc("GET /v1/snapshot", sh.ServeSnapshot)
 	}
 	if cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		s.HandleFunc("/debug/pprof/", pprof.Index)
+		s.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		s.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		s.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		s.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return s, nil
 }
-
-// Handler returns the server's HTTP handler (for mounting under httptest
-// or an external mux/listener).
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // DefaultKey is the sketch key of the server's configured defaults.
 func (s *Server) DefaultKey() SketchKey {
@@ -299,57 +282,6 @@ func (s *Server) Prewarm(ctx context.Context) error {
 	return err
 }
 
-// Start listens on addr and serves until Shutdown; it returns the bound
-// address (useful with ":0").
-func (s *Server) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.httpSrv = &http.Server{Handler: s.mux}
-	go s.httpSrv.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Shutdown drains the server: health flips to 503 (so load balancers stop
-// routing), no new queries are admitted, and in-flight queries run to
-// completion bounded by ctx. After a Start, the listener closes too.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	if s.httpSrv != nil {
-		return s.httpSrv.Shutdown(ctx)
-	}
-	// Handler-only mode (tests, embedding): wait for in-flight queries.
-	for s.admitted.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// seedsRequest is the POST /v1/seeds body. k is required; the rest
-// defaults to the server configuration (overriding any of them selects —
-// and, on first use, populates — a different sketch).
-type seedsRequest struct {
-	K       int      `json:"k"`
-	Epsilon *float64 `json:"epsilon,omitempty"`
-	Model   *string  `json:"model,omitempty"`
-	Seed    *uint64  `json:"seed,omitempty"`
-	// Query-diversity fields (DESIGN.md §17), all optional. Costs
-	// (per-vertex, length n) with Budget select cost-aware greedy (Budget
-	// alone implies unit costs); Audience restricts coverage to samples
-	// rooted in it; Blocked excludes a rival's seeds and their coverage.
-	// Absent fields inherit the server's Default* configuration; an
-	// all-plain request keeps the exact historical response shape.
-	Costs    []float64       `json:"costs,omitempty"`
-	Budget   *float64        `json:"budget,omitempty"`
-	Audience *[]graph.Vertex `json:"audience,omitempty"`
-	Blocked  *[]graph.Vertex `json:"blocked,omitempty"`
-}
-
 // seedsResponse is the POST /v1/seeds reply.
 type seedsResponse struct {
 	K                int                `json:"k"`
@@ -369,18 +301,6 @@ type seedsResponse struct {
 	SpentBudget float64 `json:"spentBudget,omitempty"`
 }
 
-// spreadRequest is the POST /v1/spread body: estimate the influence of a
-// caller-supplied seed set over the resident sketch's samples, optionally
-// restricted to audience-rooted samples. The epsilon/model/seed overrides
-// select (and on first use populate) a sketch exactly like /v1/seeds.
-type spreadRequest struct {
-	Seeds    []graph.Vertex `json:"seeds"`
-	Audience []graph.Vertex `json:"audience,omitempty"`
-	Epsilon  *float64       `json:"epsilon,omitempty"`
-	Model    *string        `json:"model,omitempty"`
-	Seed     *uint64        `json:"seed,omitempty"`
-}
-
 // spreadResponse is the POST /v1/spread reply. EstimatedSpread is
 // n * covered / theta — with an audience, the expected number of audience
 // members influenced.
@@ -395,31 +315,6 @@ type spreadResponse struct {
 	DeltaEpoch       uint64  `json:"deltaEpoch,omitempty"`
 }
 
-// errorResponse is the JSON error envelope.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	if status >= 500 {
-		s.mErrors.Inc()
-	}
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeBackoff answers an overload/timeout condition with the Retry-After
-// hint.
-func (s *Server) writeBackoff(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // sketchFor resolves (building at most once, concurrently with other
 // keys) the sketch for key.
 func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, error) {
@@ -431,143 +326,97 @@ func (s *Server) sketchFor(ctx context.Context, key SketchKey) (*Sketch, bool, e
 	return sk, hit, err
 }
 
-// handleSeeds is the query path: admission control, sketch resolution
-// (cache + single-flight), copy-on-read indexed selection, report.
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
-		return
+// resolveKey applies a request's sketch-configuration overrides to key;
+// dynamic mode refuses them, since it serves one sketch.
+func (s *Server) resolveKey(key *SketchKey, ov front.Overrides) error {
+	if s.cfg.Dynamic {
+		return ov.Fixed("dynamic mode")
 	}
-	if sh := s.cfg.ClusterShard; sh != nil {
-		s.writeError(w, http.StatusBadRequest,
-			"this replica serves shard %d of %d; POST /v1/seeds to the cluster router instead",
-			sh.ShardIdx, sh.ShardCount)
-		return
-	}
-	// Admission: bounded queue depth. Everything admitted past here is
-	// counted until the handler returns, so Shutdown can drain. The
-	// queue-depth gauge tracks admitted (running + waiting) so saturation
-	// is visible in /v1/metrics before 429s start.
-	if adm := s.admitted.Add(1); adm > s.admitLimit {
-		s.mQueueDepth.Set(s.admitted.Add(-1))
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	} else {
-		s.mQueueDepth.Set(adm)
-	}
-	defer func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }()
-
-	var req seedsRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-
-	key := s.DefaultKey()
-	if s.cfg.Dynamic && (req.Model != nil || req.Epsilon != nil || req.Seed != nil) {
-		s.writeError(w, http.StatusBadRequest,
-			"dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
-		return
-	}
-	if req.Model != nil {
-		m, err := diffuse.ParseModel(*req.Model)
+	if ov.Model != nil {
+		m, err := diffuse.ParseModel(*ov.Model)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return err
 		}
 		key.Model = m
 	}
-	if req.Epsilon != nil {
-		if *req.Epsilon <= 0 || *req.Epsilon >= 1 {
-			s.writeError(w, http.StatusBadRequest, "epsilon = %v, want 0 < eps < 1", *req.Epsilon)
-			return
+	if ov.Epsilon != nil {
+		if *ov.Epsilon <= 0 || *ov.Epsilon >= 1 {
+			return fmt.Errorf("epsilon = %v, want 0 < eps < 1", *ov.Epsilon)
 		}
-		key.Epsilon = *req.Epsilon
+		key.Epsilon = *ov.Epsilon
 	}
-	if req.Seed != nil {
-		key.Seed = *req.Seed
+	if ov.Seed != nil {
+		key.Seed = *ov.Seed
 	}
-	if req.K < 1 || req.K > key.KMax {
-		s.writeError(w, http.StatusBadRequest, "k = %d, want 1 <= k <= kMax = %d", req.K, key.KMax)
-		return
-	}
-	// Resolve the query shape: explicit fields win, absent ones inherit
-	// the server defaults (an explicit empty value clears a default).
-	q := imm.Query{K: req.K, Costs: req.Costs, Budget: s.cfg.DefaultBudget,
-		Audience: s.cfg.DefaultAudience, Blocked: s.cfg.DefaultBlocked}
-	if req.Budget != nil {
-		q.Budget = *req.Budget
-	}
-	if req.Audience != nil {
-		q.Audience = *req.Audience
-	}
-	if req.Blocked != nil {
-		q.Blocked = *req.Blocked
-	}
-	if !q.Plain() {
-		if err := q.Validate(s.cfg.Graph.NumVertices()); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
+	return nil
+}
+
+// prelude runs what both query handlers share: the front's admission
+// with req's sketch-key overrides (ov) resolved and the handler's own
+// check run before the pool wait, then sketch resolution (cache +
+// single-flight, or the latest dynamic epoch). On success the handler
+// answers from sk and calls done; otherwise the response is written.
+func (s *Server) prelude(w http.ResponseWriter, r *http.Request, req any, ov *front.Overrides, check func() error) (sk *Sketch, hit bool, done func(), ok bool) {
+	key := s.DefaultKey()
+	ctx, done, ok := s.Admit(w, r, req, func() error {
+		if err := s.resolveKey(&key, *ov); err != nil {
+			return err
 		}
+		return check()
+	})
+	if !ok {
+		return nil, false, nil, false
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-
-	// Worker pool: run now or wait (bounded by the timeout and by the
-	// client hanging up).
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-ctx.Done():
-		s.mTimeouts.Inc()
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", ctx.Err())
-		return
-	}
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
 	if s.testQueryHook != nil {
 		s.testQueryHook()
 	}
-
-	var (
-		sk  *Sketch
-		hit bool
-		err error
-	)
 	if s.cfg.Dynamic {
 		// Lock-free load of the latest published epoch.
-		sk, hit = s.dynSk.Load(), true
-	} else {
-		sk, hit, err = s.sketchFor(ctx, key)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.mTimeouts.Inc()
-			s.writeBackoff(w, http.StatusServiceUnavailable,
-				"sketch for (%s) still building: %v", key, err)
-			return
-		}
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
-			return
-		}
+		return s.dynSk.Load(), true, done, true
 	}
+	sk, hit, err := s.sketchFor(ctx, key)
+	switch {
+	case err == nil:
+		return sk, hit, done, true
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.TimedOut(w, "sketch for (%s) still building: %v", key, err)
+	default:
+		s.Error(w, http.StatusInternalServerError, "building sketch: %v", err)
+	}
+	done()
+	return nil, false, nil, false
+}
+
+// handleSeeds is the query path: the shared prelude, then copy-on-read
+// indexed selection and the per-query report.
+func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
+	var (
+		req front.SeedsRequest
+		q   imm.Query
+	)
+	sk, hit, done, ok := s.prelude(w, r, &req, &req.Overrides, func() (err error) {
+		def := imm.Query{Budget: s.cfg.DefaultBudget, Audience: s.cfg.DefaultAudience, Blocked: s.cfg.DefaultBlocked}
+		q, err = req.Query(def, s.cfg.KMax, s.cfg.Graph.NumVertices())
+		return err
+	})
+	if !ok {
+		return
+	}
+	defer done()
 
 	start := time.Now()
 	var (
 		seeds   []graph.Vertex
 		covered int64
 		qr      *imm.QueryResult
+		err     error
 	)
 	if q.Plain() {
-		seeds, covered = sk.Query(req.K, s.cfg.Workers)
+		seeds, covered = sk.Query(q.K, s.cfg.Workers)
 	} else {
 		qr, err = sk.QueryEx(q, s.cfg.Workers)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
+			s.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		seeds, covered = qr.Seeds, qr.Covered
@@ -585,9 +434,9 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	s.mQueries.Inc()
 	s.mLatency.Observe(dur.Microseconds())
 
-	rep := sk.report(req.K, s.cfg.Workers, dur, seeds, covered)
+	rep := sk.report(q.K, s.cfg.Workers, dur, seeds, covered)
 	resp := seedsResponse{
-		K:                req.K,
+		K:                q.K,
 		KMax:             sk.Key.KMax,
 		Seeds:            seeds,
 		CoverageFraction: rep.CoverageFraction,
@@ -603,125 +452,26 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		resp.Eligible = qr.Eligible
 		resp.SpentBudget = qr.SpentBudget
 	}
-	writeJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleSpread is the seed-set estimation path: same admission control
-// and sketch resolution as /v1/seeds, then a stateless coverage count
-// over the resident samples (no greedy, no purging).
+// handleSpread is the seed-set estimation path: the shared prelude, then
+// a stateless coverage count over the resident samples (no greedy, no
+// purging).
 func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeBackoff(w, http.StatusServiceUnavailable, "draining")
+	var req front.SpreadRequest
+	sk, hit, done, ok := s.prelude(w, r, &req, &req.Overrides, func() error {
+		return req.Validate(s.cfg.Graph.NumVertices())
+	})
+	if !ok {
 		return
 	}
-	if sh := s.cfg.ClusterShard; sh != nil {
-		s.writeError(w, http.StatusBadRequest,
-			"this replica serves shard %d of %d; POST /v1/spread to the cluster router instead",
-			sh.ShardIdx, sh.ShardCount)
-		return
-	}
-	if adm := s.admitted.Add(1); adm > s.admitLimit {
-		s.mQueueDepth.Set(s.admitted.Add(-1))
-		s.mRejected.Inc()
-		s.writeBackoff(w, http.StatusTooManyRequests,
-			"saturated: %d queries admitted (limit %d running + %d queued)",
-			s.admitLimit, s.cfg.MaxConcurrent, s.cfg.MaxQueue)
-		return
-	} else {
-		s.mQueueDepth.Set(adm)
-	}
-	defer func() { s.mQueueDepth.Set(s.admitted.Add(-1)) }()
-
-	var req spreadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-
-	key := s.DefaultKey()
-	if s.cfg.Dynamic && (req.Model != nil || req.Epsilon != nil || req.Seed != nil) {
-		s.writeError(w, http.StatusBadRequest,
-			"dynamic mode serves one sketch configuration; model/epsilon/seed overrides are not available")
-		return
-	}
-	if req.Model != nil {
-		m, err := diffuse.ParseModel(*req.Model)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key.Model = m
-	}
-	if req.Epsilon != nil {
-		if *req.Epsilon <= 0 || *req.Epsilon >= 1 {
-			s.writeError(w, http.StatusBadRequest, "epsilon = %v, want 0 < eps < 1", *req.Epsilon)
-			return
-		}
-		key.Epsilon = *req.Epsilon
-	}
-	if req.Seed != nil {
-		key.Seed = *req.Seed
-	}
-	if len(req.Seeds) == 0 {
-		s.writeError(w, http.StatusBadRequest, "spread needs at least one seed")
-		return
-	}
-	n := s.cfg.Graph.NumVertices()
-	for _, v := range req.Seeds {
-		if int(v) >= n {
-			s.writeError(w, http.StatusBadRequest, "seed vertex %d out of range (n = %d)", v, n)
-			return
-		}
-	}
-	for _, v := range req.Audience {
-		if int(v) >= n {
-			s.writeError(w, http.StatusBadRequest, "audience vertex %d out of range (n = %d)", v, n)
-			return
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	select {
-	case s.running <- struct{}{}:
-		defer func() { <-s.running }()
-	case <-ctx.Done():
-		s.mTimeouts.Inc()
-		s.writeBackoff(w, http.StatusServiceUnavailable, "queue wait exceeded: %v", ctx.Err())
-		return
-	}
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
-	if s.testQueryHook != nil {
-		s.testQueryHook()
-	}
-
-	var (
-		sk  *Sketch
-		hit bool
-		err error
-	)
-	if s.cfg.Dynamic {
-		sk, hit = s.dynSk.Load(), true
-	} else {
-		sk, hit, err = s.sketchFor(ctx, key)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.mTimeouts.Inc()
-			s.writeBackoff(w, http.StatusServiceUnavailable,
-				"sketch for (%s) still building: %v", key, err)
-			return
-		}
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "building sketch: %v", err)
-			return
-		}
-	}
+	defer done()
 
 	start := time.Now()
 	covered, eligible, err := sk.Spread(req.Seeds, req.Audience)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	dur := time.Since(start)
@@ -741,23 +491,14 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		resp.CoverageFraction = float64(covered) / float64(c)
 	}
 	resp.EstimatedSpread = resp.CoverageFraction * float64(sk.Col.NumVertices())
-	writeJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports liveness: 200 while serving, 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if s.Draining() {
+		front.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleMetrics exposes the registry snapshot as JSON.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	if snap == nil {
-		snap = &metrics.Snapshot{}
-	}
-	writeJSON(w, http.StatusOK, snap)
+	front.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

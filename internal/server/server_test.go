@@ -214,7 +214,7 @@ func TestSaturationReturns429(t *testing.T) {
 	go post() // occupies the pool, parked in the hook
 	<-entered
 	go post() // admitted, waiting for a pool slot
-	for s.admitted.Load() != 2 {
+	for s.Admitted() != 2 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -226,8 +226,8 @@ func TestSaturationReturns429(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if s.mRejected.Value() != 1 {
-		t.Fatalf("rejected counter = %d, want 1", s.mRejected.Value())
+	if s.reg.Counter("server/rejected").Value() != 1 {
+		t.Fatalf("rejected counter = %d, want 1", s.reg.Counter("server/rejected").Value())
 	}
 
 	close(release)
@@ -277,8 +277,8 @@ func TestQueueWaitTimeout(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	if s.mTimeouts.Value() != 1 {
-		t.Fatalf("timeouts counter = %d, want 1", s.mTimeouts.Value())
+	if s.reg.Counter("server/timeouts").Value() != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", s.reg.Counter("server/timeouts").Value())
 	}
 	close(release)
 	if st := <-done; st != http.StatusOK {
@@ -321,7 +321,7 @@ func TestShutdownDrains(t *testing.T) {
 		defer cancel()
 		shutdownErr <- s.Shutdown(ctx)
 	}()
-	for !s.draining.Load() {
+	for !s.Draining() {
 		time.Sleep(time.Millisecond)
 	}
 
