@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -278,6 +279,14 @@ func (rt *Router) Select(k int, onSeed func(i int, v graph.Vertex, gain int64)) 
 // blocked set and replays the committed seeds, so the degraded result is
 // the survivors' exact answer.
 func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
+	return rt.SelectQueryContext(context.Background(), q, onSeed)
+}
+
+// SelectQueryContext is SelectQuery stopped by ctx: before every fan-out
+// round (session start, purge, replay) the query checks ctx and, once it
+// is done, ends its shard sessions and returns ctx.Err(). A query whose
+// client has gone therefore sends no further rounds to the fleet.
+func (rt *Router) SelectQueryContext(ctx context.Context, q RouterQuery, onSeed func(i int, v graph.Vertex, gain int64)) (*SelectResult, error) {
 	start := time.Now()
 	n := rt.canon.NumVertices
 	if q.K < 1 || q.K > rt.canon.KMax {
@@ -292,7 +301,7 @@ func (rt *Router) SelectQuery(q RouterQuery, onSeed func(i int, v graph.Vertex, 
 	}
 	rt.mQueries.Inc()
 
-	src := &routerSource{rt: rt, audience: q.Audience, slots: alive}
+	src := &routerSource{ctx: ctx, rt: rt, audience: q.Audience, slots: alive}
 	qr, err := imm.Greedy(src, n, q, 1, onSeed)
 	if src.session != 0 {
 		rt.endRound(src.session, src.slots)
@@ -348,8 +357,10 @@ var errBusy = errors.New("cluster: shard sessions evicted under load")
 // session on every live slot and merges the shards' counts; Purge fans
 // the seed out and subtracts the merged decrements. A transport failure
 // marks the slot failed and drops it (failover); an in-band refusal keeps
-// the slots. Either way the engine restarts the source.
+// the slots. Either way the engine restarts the source. Both return
+// ctx.Err() without a fan-out once the query's context is done.
 type routerSource struct {
+	ctx      context.Context
 	rt       *Router
 	audience []graph.Vertex
 	slots    []int
@@ -362,6 +373,10 @@ func (s *routerSource) Start(counter []int64) (int64, error) {
 	rt := s.rt
 	if s.session != 0 {
 		rt.endRound(s.session, s.slots)
+		s.session = 0
+	}
+	if err := s.ctx.Err(); err != nil {
+		return 0, err
 	}
 	s.session = rt.nextSession.Add(1)
 	counts := make([][]int64, len(s.slots))
@@ -410,6 +425,9 @@ func (s *routerSource) Start(counter []int64) (int64, error) {
 }
 
 func (s *routerSource) Purge(v graph.Vertex, counter []int64) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
 	rt := s.rt
 	s.rounds++
 	rt.mRounds.Inc()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -126,7 +127,7 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		req front.SeedsRequest
 		q   imm.Query
 	)
-	_, done, ok := s.Admit(w, r, &req, func() (err error) {
+	ctx, done, ok := s.Admit(w, r, &req, func() (err error) {
 		if err = req.Fixed("the cluster router"); err != nil {
 			return err
 		}
@@ -158,7 +159,9 @@ func (s *RouterServer) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res, err := s.rt.SelectQuery(q, onSeed)
+	// The request's context ends the routed rounds once the client is
+	// gone or the query timeout passes.
+	res, err := s.rt.SelectQueryContext(ctx, q, onSeed)
 	if err != nil {
 		if req.Stream {
 			enc.Encode(front.ErrorResponse{Error: err.Error()})
@@ -227,10 +230,13 @@ func (s *RouterServer) handleSpread(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeFailure answers a routed query that failed: a fleet too busy to
-// hold its sessions (errBusy) is told to back off, an empty fleet
-// (ErrNoShards) is unavailable, anything else is a 500.
+// hold its sessions (errBusy) is told to back off, a query stopped by its
+// context (client gone or query timeout) counts as a timeout, an empty
+// fleet (ErrNoShards) is unavailable, anything else is a 500.
 func (s *RouterServer) writeFailure(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.TimedOut(w, "routed query stopped: %v", err)
 	case errors.Is(err, errBusy):
 		front.WriteBackoff(w, http.StatusServiceUnavailable, "%v", err)
 	case err == ErrNoShards:

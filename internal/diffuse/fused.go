@@ -71,16 +71,16 @@ type FusedSampler struct {
 	// the touched ones). IC only.
 	dirty []uint64
 
-	// shared holds the read-only per-edge tables all workers' samplers can
-	// reuse (the IC coin thresholds).
-	shared *FusedShared
+	// scan is the read-only per-vertex scan table every worker's samplers
+	// share (IC only; see ScanTable).
+	scan *ScanTable
 
 	// Per-lane SplitMix64 states and coin buffers. The IC kernel draws
-	// each scan's coins inline in the decide loop (uniform thresholds) or
-	// as one exact-size block into coinBits (general path, after the
-	// gather phase has packed vertex+threshold words into gather). coins64
-	// serves the LT kernel (fixed blocks of one float64 per step). Only
-	// the active model's buffers are allocated.
+	// each scan's coins inline in the decide loop (uniform thresholds), one
+	// gap per fire (skip lists) or as one exact-size block into coinBits
+	// (general path, after the gather phase has packed vertex+weight words
+	// into gather). coins64 serves the LT kernel (fixed blocks of one
+	// float64 per step). Only the active model's buffers are allocated.
 	state    [MaxLanes]uint64
 	gather   []uint64
 	gatherU  []graph.Vertex
@@ -121,8 +121,9 @@ type FusedStats struct {
 	// Passes is the total number of frontier expansions (head scans for
 	// IC, walk rounds for LT) across all batches.
 	Passes int64
-	// Coins is the number of pseudorandom coins generated (edge draws
-	// plus one root draw per sample; LT counts whole block refills).
+	// Coins is the number of pseudorandom draws generated: edge coins,
+	// geometric gaps of skip scans, and one root draw per sample (LT counts
+	// whole block refills).
 	Coins int64
 	// LaneSlots is Batches times the full batch width MaxLanes, and
 	// ActiveLanes the slots that carried a sample; ActiveLanes/LaneSlots
@@ -150,37 +151,6 @@ func (s *FusedStats) Add(other FusedStats) {
 	s.ActiveLanes += other.ActiveLanes
 }
 
-// FusedShared holds the read-only tables fused samplers over the same
-// graph share: build it once and hand it to one NewFusedSamplerShared per
-// worker so the per-edge thresholds exist once per run, not once per
-// worker.
-type FusedShared struct {
-	// thresh maps each in-CSR edge slot to its integer coin threshold: the
-	// edge fires iff the coin's top-24-bit integer k satisfies
-	// k < thresh[slot], which decides exactly like the scalar kernel's
-	// float32(k)*2^-24 < w (see icThreshold). Empty for LT.
-	thresh []uint32
-	// uniform[v] classifies v's in-edge scan. When all in-edges share one
-	// threshold t (both of the paper's standard IC weightings are uniform
-	// per list: constant p trivially, weighted cascade because every
-	// in-edge of v carries 1/indeg(v)) the whole scan compares against one
-	// register: uniform[v] = t if the list is also free of parallel
-	// duplicate sources (every unvisited neighbor then consumes a coin
-	// unconditionally), or t|dupMark if duplicates are present (the scan
-	// re-tests visited before each draw, which handles duplicates exactly
-	// as the scalar kernel does). nonUniform marks distinct per-edge
-	// thresholds, routed to the general path.
-	uniform []uint32
-}
-
-// dupMark flags a uniform-threshold vertex whose in-list contains parallel
-// duplicate sources; real thresholds are at most 2^24, leaving the bit
-// free. nonUniform (all ones, dupMark included) marks per-edge thresholds.
-const (
-	dupMark    = uint32(1) << 30
-	nonUniform = ^uint32(0)
-)
-
 // pow2AtLeast returns the smallest power of two >= max(n, 1).
 func pow2AtLeast(n int) int {
 	if n <= 1 {
@@ -189,84 +159,22 @@ func pow2AtLeast(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// icThreshold converts an IC edge weight into the integer coin threshold
-// equivalent to the scalar comparison. The scalar kernel keeps an edge of
-// weight w when Float32() < w with Float32() = float32(k) * 2^-24 for the
-// coin's top 24 bits k — both sides exact, so c < w iff k < w*2^24 iff
-// k < ceil(w*2^24) over integers. float64(w)*2^24 is exact for any
-// float32 w, making the ceiling exact too; clamping to [0, 2^24] covers
-// w <= 0 (never fires, as c >= 0) and w >= 1 (always fires, as c < 1).
-func icThreshold(w float32) uint32 {
-	t := math.Ceil(float64(w) * (1 << 24))
-	if !(t > 0) { // also catches NaN: scalar c < NaN is false
-		return 0
-	}
-	if t > 1<<24 {
-		return 1 << 24
-	}
-	return uint32(t)
-}
-
-// NewFusedShared precomputes the shared tables for fused sampling over g.
-func NewFusedShared(g *graph.Graph, model Model) *FusedShared {
-	s := &FusedShared{}
-	if model != IC {
-		return s
-	}
-	n := g.NumVertices()
-	s.thresh = make([]uint32, g.NumEdges())
-	s.uniform = make([]uint32, n)
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		base := g.InEdgeBase(graph.Vertex(v))
-		srcs, ws := g.InNeighbors(graph.Vertex(v))
-		uni := uint32(0)
-		sameT := true
-		dupFree := true
-		for i, w := range ws {
-			t := icThreshold(w)
-			s.thresh[base+int64(i)] = t
-			if i == 0 {
-				uni = t
-			} else if t != uni {
-				sameT = false
-			}
-			if seen[srcs[i]] == int32(v) {
-				dupFree = false // parallel duplicate source
-			}
-			seen[srcs[i]] = int32(v)
-		}
-		switch {
-		case sameT && dupFree:
-			s.uniform[v] = uni
-		case sameT:
-			s.uniform[v] = uni | dupMark
-		default:
-			s.uniform[v] = nonUniform
-		}
-	}
-	return s
-}
-
 // NewFusedSampler returns a fused sampler over g for the given model,
-// building its own shared tables. For LT the graph's in-weights must form
-// a valid configuration, as for NewSampler. Workers sampling the same
-// graph should build one FusedShared and use NewFusedSamplerShared.
+// building its own scan table. For LT the graph's in-weights must form a
+// valid configuration, as for NewSampler. Workers sampling the same graph
+// should build one ScanTable and use NewFusedSamplerTable.
 func NewFusedSampler(g *graph.Graph, model Model) *FusedSampler {
-	return NewFusedSamplerShared(g, model, NewFusedShared(g, model))
+	return NewFusedSamplerTable(g, model, NewScanTable(g, model))
 }
 
-// NewFusedSamplerShared returns a fused sampler over g reusing previously
-// built shared tables (which must come from NewFusedShared over the same
-// graph and model).
-func NewFusedSamplerShared(g *graph.Graph, model Model, shared *FusedShared) *FusedSampler {
+// NewFusedSamplerTable returns a fused sampler over g reading a previously
+// built scan table (which must describe g under model: NewScanTable over
+// g, or a table patched to g).
+func NewFusedSamplerTable(g *graph.Graph, model Model, scan *ScanTable) *FusedSampler {
 	f := &FusedSampler{
 		g:       g,
 		model:   model,
-		shared:  shared,
+		scan:    scan,
 		visited: rrr.NewBitset(g.NumVertices() * MaxLanes),
 	}
 	switch model {
@@ -421,13 +329,12 @@ func (f *FusedSampler) drainByExtraction(lanes int, verts []graph.Vertex, sizes 
 // map entries are undone by walking its queue — exactly its sample —
 // when it finishes.
 func (f *FusedSampler) expandIC(lanes int) {
-	allThresh := f.shared.thresh
-	uniform := f.shared.uniform
+	class := f.scan.class
 	vb := f.vbyte
 	var scans, coins int64
 	for b := 0; b < lanes; b++ {
 		vb[f.queue[b][0]] = 1
-		coins += f.expandLane(uint32(b), uniform, allThresh)
+		coins += f.expandLane(uint32(b), class)
 		scans += int64(len(f.queue[b]))
 		// Lane done: its queue IS its sample. One short walk resets the
 		// byte map and publishes the lane's bits to the packed bitset and
@@ -445,11 +352,12 @@ func (f *FusedSampler) expandIC(lanes int) {
 }
 
 // expandLane drains lane b's BFS queue to exhaustion and returns the
-// coins consumed. The lane's stream state and queue stay in registers
+// draws consumed. The lane's stream state and queue stay in registers
 // across all its scans — per-scan spills to the sampler struct would
-// cost as much as the scans themselves on low-degree graphs. The scan
-// over a uniform duplicate-free in-list (both standard IC weightings)
-// is inlined here in two branch-disciplined phases:
+// cost as much as the scans themselves on low-degree graphs. Skip lists
+// (see ScanTable) are scanned inline, one geometric gap per fire. The
+// coin scan over any other uniform duplicate-free in-list is inlined
+// here in two branch-disciplined phases:
 //
 //  1. gather — a branch-free pass that compacts the unvisited neighbors,
 //     hand unrolled to keep several visited-byte loads in flight. A
@@ -464,12 +372,13 @@ func (f *FusedSampler) expandIC(lanes int) {
 //     coin unconditionally (no duplicates), keeping the stream aligned
 //     with the scalar kernel by construction.
 //
-// Lists with duplicate sources or per-edge thresholds take the out-of-
-// line scanDup/scanGeneral paths (the lane state is written back around
-// the call).
-func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) int64 {
+// Lists with duplicate sources or per-edge weights take the out-of-line
+// scanDup/scanGeneral paths (the lane state is written back around the
+// call).
+func (f *FusedSampler) expandLane(b uint32, class []uint32) int64 {
 	g := f.g
 	vb := f.vbyte
+	invLnQ, noFire := f.scan.invLnQ, f.scan.noFire
 	st := f.state[b]
 	q := f.queue[b]
 	var coins int64
@@ -478,8 +387,34 @@ func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) int64 {
 		if len(srcs) == 0 {
 			continue
 		}
-		uni := uniform[q[qi]]
-		if uni&dupMark != 0 {
+		uni := class[q[qi]]
+		if isSkip(uni) {
+			// One geometric gap per fire (skipGap): jump over that many
+			// edges and fire the neighbor there unless it is already
+			// visited, until a gap runs past the end. reverseBFS runs the
+			// same loop on the same draws; a draw under the noFire bound
+			// ends the scan without the log, exactly as skipGap would.
+			inv, nf := invLnQ[q[qi]], noFire[q[qi]]
+			for i := 0; ; i++ {
+				st += rng.SplitMixGamma
+				coins++
+				x := rng.Mix64(st)
+				if x>>11+1 <= nf {
+					break
+				}
+				gap := skipGap(x, inv)
+				if !(gap < float64(len(srcs)-i)) {
+					break
+				}
+				i += int(gap)
+				if u := srcs[i]; vb[u] == 0 {
+					vb[u] = 1
+					q = append(q, u)
+				}
+			}
+			continue
+		}
+		if uni >= skipMark {
 			// Outcome-dependent coin consumption: spill the lane state,
 			// run the ordered out-of-line scan, reload.
 			f.state[b] = st
@@ -487,7 +422,7 @@ func (f *FusedSampler) expandLane(b uint32, uniform, allThresh []uint32) int64 {
 			if uni != nonUniform {
 				coins += f.scanDup(srcs, uni&^dupMark, b)
 			} else {
-				coins += f.scanGeneral(q[qi], srcs, allThresh, b)
+				coins += f.scanGeneral(q[qi], srcs, b)
 			}
 			st = f.state[b]
 			q = f.queue[b]
@@ -559,23 +494,23 @@ func (f *FusedSampler) scanDup(srcs []graph.Vertex, t uint32, lane uint32) int64
 	return int64(drawn)
 }
 
-// scanGeneral is the scan for distinct per-edge thresholds (parallel
+// scanGeneral is the scan for distinct per-edge weights (parallel
 // duplicates possible). Three phases:
 //
 //  1. gather — branch-free compaction of the unvisited neighbors, packed
-//     as threshold<<32 | vertex so the decide loop reads one sequential
+//     as weight bits<<32 | vertex so the decide loop reads one sequential
 //     stream and never touches the CSR again.
 //  2. coin block — the lane's next cnt coins in one exact-size block.
-//  3. decide — threshold compare and append. A re-check of the visited
-//     byte catches parallel edges to a vertex won earlier in this same
-//     scan, which must not consume a coin (the scalar kernel's visited
-//     test precedes its draw); the lane's stream state advances by
-//     exactly the coins consumed, so the block's over-generated tail is
-//     discarded without desynchronizing the stream.
-func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, allThresh []uint32, lane uint32) int64 {
+//  3. decide — the scalar kernel's own comparison float32(k)*2^-24 < w
+//     and append. A re-check of the visited byte catches parallel edges
+//     to a vertex won earlier in this same scan, which must not consume a
+//     coin (the scalar kernel's visited test precedes its draw); the
+//     lane's stream state advances by exactly the coins consumed, so the
+//     block's over-generated tail is discarded without desynchronizing
+//     the stream.
+func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, lane uint32) int64 {
 	vb := f.vbyte
-	base := f.g.InEdgeBase(v)
-	thresh := allThresh[base : base+int64(len(srcs))]
+	_, ws := f.g.InNeighbors(v)
 	if cap(f.gather) < len(srcs) {
 		f.gather = make([]uint64, len(srcs))
 		f.coinBits = make([]uint32, len(srcs))
@@ -585,7 +520,7 @@ func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, allThres
 	cnt := 0
 	for i := 0; i < len(srcs); i++ {
 		u := srcs[i]
-		gather[cnt] = uint64(thresh[i])<<32 | uint64(u)
+		gather[cnt] = uint64(math.Float32bits(ws[i]))<<32 | uint64(u)
 		cnt += 1 - int(vb[u])
 	}
 	if cnt == 0 {
@@ -608,7 +543,7 @@ func (f *FusedSampler) scanGeneral(v graph.Vertex, srcs []graph.Vertex, allThres
 		}
 		k := cblock[used]
 		used++
-		if uint64(k) < packed>>32 {
+		if float32(k)*(1.0/(1<<24)) < math.Float32frombits(uint32(packed>>32)) {
 			vb[u] = 1
 			q = append(q, u)
 		}

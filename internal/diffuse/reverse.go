@@ -14,19 +14,30 @@ import (
 type Sampler struct {
 	g     *graph.Graph
 	model Model
+	scan  *ScanTable // read-only, shared with other workers' samplers (IC)
 
 	visited []uint32
 	epoch   uint32
 	queue   []graph.Vertex
 }
 
-// NewSampler returns a sampler over g for the given model. For LT the
-// graph's in-weights must form a valid configuration (per-vertex sums at
-// most 1; see graph.NormalizeLT).
+// NewSampler returns a sampler over g for the given model, building its
+// own scan table. For LT the graph's in-weights must form a valid
+// configuration (per-vertex sums at most 1; see graph.NormalizeLT).
+// Workers sampling the same graph should build one ScanTable and use
+// NewSamplerTable.
 func NewSampler(g *graph.Graph, model Model) *Sampler {
+	return NewSamplerTable(g, model, NewScanTable(g, model))
+}
+
+// NewSamplerTable returns a sampler over g reading a previously built
+// scan table (which must describe g under model: NewScanTable over g, or
+// a table patched to g).
+func NewSamplerTable(g *graph.Graph, model Model, scan *ScanTable) *Sampler {
 	return &Sampler{
 		g:       g,
 		model:   model,
+		scan:    scan,
 		visited: make([]uint32, g.NumVertices()),
 		epoch:   0,
 	}
@@ -63,7 +74,10 @@ func (s *Sampler) GenerateRR(r *rng.Rand, root graph.Vertex, out []graph.Vertex)
 }
 
 // reverseBFS is the IC kernel: a breadth-first traversal of incoming edges
-// where each edge is kept with its activation probability.
+// where each edge is kept with its activation probability. A skip list
+// (see ScanTable) draws one geometric gap per fire instead of one coin per
+// unvisited edge — the same loop, on the same draws, as the fused
+// kernel's expandLane; every other list flips one coin per unvisited edge.
 func (s *Sampler) reverseBFS(r *rng.Rand, root graph.Vertex, out []graph.Vertex) []graph.Vertex {
 	s.nextEpoch()
 	s.visited[root] = s.epoch
@@ -76,6 +90,22 @@ func (s *Sampler) reverseBFS(r *rng.Rand, root graph.Vertex, out []graph.Vertex)
 	for head := 0; head < len(s.queue); head++ {
 		x := s.queue[head]
 		srcs, ws := s.g.InNeighbors(x)
+		if isSkip(s.scan.class[x]) {
+			inv := s.scan.invLnQ[x]
+			for i := 0; ; i++ {
+				gap := skipGap(r.Uint64(), inv)
+				if !(gap < float64(len(srcs)-i)) {
+					break
+				}
+				i += int(gap)
+				if u := srcs[i]; s.visited[u] != s.epoch {
+					s.visited[u] = s.epoch
+					s.queue = append(s.queue, u)
+					out = append(out, u)
+				}
+			}
+			continue
+		}
 		for i, u := range srcs {
 			if s.visited[u] == s.epoch {
 				continue

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dynamic-graph deltas: an ordered batch of edge insertions and deletions
 // applied to an immutable CSR Graph through an Overlay, then compacted
@@ -100,6 +103,11 @@ type Overlay struct {
 	insBySrc map[Vertex][]int32 // src -> indices into ins, op order
 	liveIns  int64
 
+	// dsts and srcs collect every op's endpoints: the in-lists and
+	// out-lists the batch may change. Compact copies everything between
+	// them in bulk.
+	dsts, srcs []Vertex
+
 	applied bool
 }
 
@@ -169,6 +177,8 @@ func (ov *Overlay) Apply(d Delta) error {
 		if op.Src >= n || op.Dst >= n {
 			return &DeltaError{Index: t, Op: op, Reason: fmt.Sprintf("endpoint out of range [0,%d)", n)}
 		}
+		ov.dsts = append(ov.dsts, op.Dst)
+		ov.srcs = append(ov.srcs, op.Src)
 		switch op.Kind {
 		case DeltaInsert:
 			if !(op.W >= 0 && op.W <= 1) { // also rejects NaN
@@ -221,8 +231,23 @@ func (ov *Overlay) AppendedInOps(v Vertex) []int32 {
 // (in BOTH adjacency directions) and inserted edges follow in batch op
 // order. The base graph is untouched; the two graphs share no storage.
 // Weights are carried over verbatim — callers re-derive scheme-dependent
-// weights (weighted cascade, LT normalization) on the result.
-func (ov *Overlay) Compact() *Graph {
+// weights (weighted cascade, LT normalization) on the result, or pass the
+// rule to CompactReweight.
+func (ov *Overlay) Compact() *Graph { return ov.CompactReweight(nil) }
+
+// CompactReweight is Compact with every in-list the batch may have
+// changed — those of the op targets — passed through reweight (when
+// non-nil) before the out-CSR view is derived from it. A weighting rule
+// that is a function of the in-list alone (weighted cascade, LT
+// normalization) leaves every other list's weights as they were, so this
+// equals Compact followed by re-deriving the weights over all m edges, at
+// O(the targets' degrees) instead.
+//
+// The lists between op endpoints are copied in bulk. Only the op targets'
+// in-lists and the op sources' out-lists are rebuilt edge by edge; every
+// other out-edge is copied with its in-slot moved by its destination
+// list's shift.
+func (ov *Overlay) CompactReweight(reweight func(ws []float32)) *Graph {
 	g := ov.base
 	n := g.n
 	m := int64(len(g.inSrc)) - ov.deadCount + ov.liveIns
@@ -236,24 +261,52 @@ func (ov *Overlay) Compact() *Graph {
 		inW:     make([]float32, m),
 		outToIn: make([]int64, m),
 	}
+	slices.Sort(ov.dsts)
+	slices.Sort(ov.srcs)
+	ov.dsts, ov.srcs = slices.Compact(ov.dsts), slices.Compact(ov.srcs)
+	dsts, srcs := ov.dsts, ov.srcs
 
-	// In side: offsets, then fill; record each surviving base slot's new
-	// position (for the outToIn remap) and each live insert's new slot.
-	newInPos := make([]int64, len(g.inSrc))
+	// In side: bulk runs between op targets; each target's list slot by
+	// slot. shift[v] is how far v's base in-slots move (targetShift for a
+	// target, whose surviving base slots land at targetPos[v][j-lo], -1 if
+	// deleted); each live insert records its new slot. The bulk runs are
+	// copied concurrently with the out side below, which reads only the
+	// targets' lists of the new in side.
+	shift := make([]int64, n)
+	targetPos := make(map[Vertex][]int64, len(dsts))
+	var runs [][3]int64 // base slots [lo, hi) land at pos
 	var pos int64
-	for v := 0; v < n; v++ {
+	bulk := func(v0, v1 int) { // vertices [v0, v1), none of them a target
+		lo, hi := g.inOff[v0], g.inOff[v1]
+		d := pos - lo
+		runs = append(runs, [3]int64{lo, hi, pos})
+		for v := v0; v < v1; v++ {
+			ng.inOff[v] = g.inOff[v] + d
+			shift[v] = d
+		}
+		pos += hi - lo
+	}
+	next := 0
+	for _, dv := range dsts {
+		v := int(dv)
+		bulk(next, v)
+		next = v + 1
 		ng.inOff[v] = pos
-		for j := g.inOff[v]; j < g.inOff[v+1]; j++ {
+		shift[v] = targetShift
+		lo, hi := g.inOff[v], g.inOff[v+1]
+		tp := make([]int64, hi-lo)
+		for j := lo; j < hi; j++ {
 			if ov.deadSlot(j) {
-				newInPos[j] = -1
+				tp[j-lo] = -1
 				continue
 			}
 			ng.inSrc[pos] = g.inSrc[j]
 			ng.inW[pos] = g.inW[j]
-			newInPos[j] = pos
+			tp[j-lo] = pos
 			pos++
 		}
-		for _, ri := range ov.insByDst[Vertex(v)] {
+		targetPos[dv] = tp
+		for _, ri := range ov.insByDst[dv] {
 			if r := &ov.ins[ri]; !r.dead {
 				ng.inSrc[pos] = r.src
 				ng.inW[pos] = r.w
@@ -261,32 +314,88 @@ func (ov *Overlay) Compact() *Graph {
 				pos++
 			}
 		}
+		if reweight != nil {
+			reweight(ng.inW[ng.inOff[v]:pos])
+		}
 	}
+	bulk(next, n)
 	ng.inOff[n] = pos
+	inDone := make(chan struct{})
+	go func() {
+		for _, r := range runs {
+			copy(ng.inSrc[r[2]:], g.inSrc[r[0]:r[1]])
+			copy(ng.inW[r[2]:], g.inW[r[0]:r[1]])
+		}
+		close(inDone)
+	}()
 
-	// Out side, mapping each edge to its in-slot as it lands.
+	// Out side: bulk runs between op sources (every out-edge there
+	// survives; only its in-slot moves), each source's list edge by edge.
+	// An edge into a target re-reads its (possibly re-derived) weight.
+	newSlot := func(k int64) int64 {
+		v, j := g.outDst[k], g.outToIn[k]
+		if d := shift[v]; d != targetShift {
+			return j + d
+		}
+		return targetPos[v][j-g.inOff[v]]
+	}
 	pos = 0
-	for u := 0; u < n; u++ {
+	copyOut := func(u0, u1 int) { // sources [u0, u1), none of them an op source
+		k0, k1 := g.outOff[u0], g.outOff[u1]
+		for u := u0; u < u1; u++ {
+			ng.outOff[u] = g.outOff[u] - k0 + pos
+		}
+		copy(ng.outDst[pos:], g.outDst[k0:k1])
+		copy(ng.outW[pos:], g.outW[k0:k1])
+		out := ng.outToIn[pos : pos+k1-k0]
+		dst := g.outDst[k0:k1]
+		for i, j := range g.outToIn[k0:k1] {
+			d := shift[dst[i]]
+			if d == targetShift {
+				ip := newSlot(k0 + int64(i))
+				out[i] = ip
+				ng.outW[pos+int64(i)] = ng.inW[ip]
+				continue
+			}
+			out[i] = j + d
+		}
+		pos += k1 - k0
+	}
+	next = 0
+	for _, su := range srcs {
+		u := int(su)
+		copyOut(next, u)
+		next = u + 1
 		ng.outOff[u] = pos
 		for k := g.outOff[u]; k < g.outOff[u+1]; k++ {
-			ip := newInPos[g.outToIn[k]]
+			ip := newSlot(k)
 			if ip < 0 {
 				continue
 			}
 			ng.outDst[pos] = g.outDst[k]
 			ng.outW[pos] = g.outW[k]
+			if shift[g.outDst[k]] == targetShift {
+				ng.outW[pos] = ng.inW[ip]
+			}
 			ng.outToIn[pos] = ip
 			pos++
 		}
-		for _, ri := range ov.insBySrc[Vertex(u)] {
+		for _, ri := range ov.insBySrc[su] {
 			if r := &ov.ins[ri]; !r.dead {
 				ng.outDst[pos] = r.dst
-				ng.outW[pos] = r.w
+				ng.outW[pos] = ng.inW[r.inSlot]
 				ng.outToIn[pos] = r.inSlot
 				pos++
 			}
 		}
 	}
+	copyOut(next, n)
 	ng.outOff[n] = pos
+	<-inDone
 	return ng
 }
+
+// targetShift marks an op target in CompactReweight's shift table: its
+// in-slots move one by one, not by a common shift. No real shift reaches
+// it (|shift| <= m).
+const targetShift = int64(-1) << 62

@@ -36,16 +36,21 @@ func (g *Graph) AssignConstant(p float32) {
 // scheme of Kempe et al.
 func (g *Graph) AssignWeightedCascade() {
 	for v := 0; v < g.n; v++ {
-		lo, hi := g.inOff[v], g.inOff[v+1]
-		if hi == lo {
-			continue
-		}
-		w := float32(1.0 / float64(hi-lo))
-		for i := lo; i < hi; i++ {
-			g.inW[i] = w
-		}
+		WeightedCascadeList(g.inW[g.inOff[v]:g.inOff[v+1]])
 	}
 	g.syncOutWeights()
+}
+
+// WeightedCascadeList sets every weight of one vertex's in-list to
+// 1/len(ws), the per-list rule of AssignWeightedCascade.
+func WeightedCascadeList(ws []float32) {
+	if len(ws) == 0 {
+		return
+	}
+	w := float32(1.0 / float64(len(ws)))
+	for i := range ws {
+		ws[i] = w
+	}
 }
 
 // ScaleWeights multiplies every edge's activation probability by f,
@@ -72,19 +77,24 @@ func (g *Graph) ScaleWeights(f float32) {
 // is traversed.
 func (g *Graph) NormalizeLT() {
 	for v := 0; v < g.n; v++ {
-		lo, hi := g.inOff[v], g.inOff[v+1]
-		sum := 0.0
-		for i := lo; i < hi; i++ {
-			sum += float64(g.inW[i])
-		}
-		if sum > 1 {
-			inv := float32(1 / sum)
-			for i := lo; i < hi; i++ {
-				g.inW[i] *= inv
-			}
-		}
+		NormalizeLTList(g.inW[g.inOff[v]:g.inOff[v+1]])
 	}
 	g.syncOutWeights()
+}
+
+// NormalizeLTList rescales one vertex's in-list weights to sum to at most
+// 1, the per-list rule of NormalizeLT.
+func NormalizeLTList(ws []float32) {
+	sum := 0.0
+	for _, w := range ws {
+		sum += float64(w)
+	}
+	if sum > 1 {
+		inv := float32(1 / sum)
+		for i := range ws {
+			ws[i] *= inv
+		}
+	}
 }
 
 // MaxInWeightSum returns the largest per-vertex sum of incoming weights

@@ -122,6 +122,7 @@ type DynamicSketch struct {
 
 	col   *rrr.Collection
 	idx   *rrr.Index
+	scan  *diffuse.ScanTable // g's scan table, patched at each batch's op targets
 	theta int64
 	lower float64
 
@@ -150,7 +151,7 @@ func NewDynamicSketch(g *graph.Graph, opt Options, policy WeightPolicy) (*Dynami
 	}
 	s := &DynamicSketch{
 		g: g, opt: opt, policy: policy,
-		col: col, idx: idx,
+		col: col, idx: idx, scan: diffuse.NewScanTable(g, opt.Model),
 		theta: res.Theta, lower: res.LowerBound,
 	}
 	s.bindMetrics()
@@ -180,12 +181,12 @@ func RestoreDynamicSketch(base *graph.Graph, opt Options, policy WeightPolicy,
 		if err := ov.Apply(d); err != nil {
 			return nil, fmt.Errorf("imm: delta log batch %d: %w", i, err)
 		}
-		g = ov.Compact()
-		reweight(g, opt, policy)
+		g = compact(ov, opt, policy)
 	}
 	s := &DynamicSketch{
 		g: g, opt: opt, policy: policy,
 		col: col, idx: rrr.BuildIndex(col, opt.Workers),
+		scan:  diffuse.NewScanTable(g, opt.Model),
 		theta: theta,
 		epoch: uint64(len(log)),
 		log:   append([]graph.Delta(nil), log...),
@@ -207,16 +208,24 @@ func (s *DynamicSketch) bindMetrics() {
 	s.mExtended = s.opt.Metrics.Counter("rrr/samples-extended")
 }
 
-// reweight re-derives scheme-dependent weights on a freshly compacted
-// graph: the weighted-cascade policy recomputes 1/indeg, and the LT model
-// re-normalizes any vertex whose in-weights now sum past 1.
-func reweight(g *graph.Graph, opt Options, policy WeightPolicy) {
-	if policy == WeightsWC {
-		g.AssignWeightedCascade()
+// compact folds one validated overlay into a fresh graph, re-deriving
+// scheme-dependent weights on the in-lists the batch changed: the
+// weighted-cascade policy recomputes 1/indeg, and the LT model
+// re-normalizes a list whose in-weights now sum past 1. Both rules read
+// one list alone, so every other list keeps its weights.
+func compact(ov *graph.Overlay, opt Options, policy WeightPolicy) *graph.Graph {
+	wc, lt := policy == WeightsWC, opt.Model == diffuse.LT
+	if !wc && !lt {
+		return ov.Compact()
 	}
-	if opt.Model == diffuse.LT {
-		g.NormalizeLT()
-	}
+	return ov.CompactReweight(func(ws []float32) {
+		if wc {
+			graph.WeightedCascadeList(ws)
+		}
+		if lt {
+			graph.NormalizeLTList(ws)
+		}
+	})
 }
 
 // Graph returns the current (post-delta) graph. Immutable by convention.
@@ -271,6 +280,11 @@ func extensionSeed(seed, epoch uint64) uint64 {
 	return rng.Mix64(seed ^ rng.Mix64(epoch+0x9E3779B97F4A7C15))
 }
 
+// minRepairsPerWorker is the fewest candidate samples a repair worker is
+// started for: one regeneration costs about as much as the worker's two
+// O(n) scratch arrays, so below this a batch's repairs share workers.
+const minRepairsPerWorker = 16
+
 // deltaWorker is one repair worker's scratch, rebuilt per batch (the
 // sampler binds the new graph).
 type deltaWorker struct {
@@ -308,8 +322,12 @@ func (s *DynamicSketch) ApplyDelta(d graph.Delta) (BatchResult, error) {
 	if err := ov.Apply(d); err != nil {
 		return BatchResult{}, err
 	}
-	ng := ov.Compact()
-	reweight(ng, s.opt, s.policy)
+	ng := compact(ov, s.opt, s.policy)
+	targets := make([]graph.Vertex, len(d))
+	for i, op := range d {
+		targets[i] = op.Dst
+	}
+	s.scan.Patch(ng, targets)
 
 	// An op invalidates affected samples unless it is an IC insertion
 	// under explicit weights (the only case where existing coins keep
@@ -371,10 +389,9 @@ func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta
 		}
 	}
 
-	p := s.opt.Workers
-	if p > len(cands) {
-		p = len(cands)
-	}
+	// Each worker allocates O(n) scratch, so a small repair set runs on
+	// fewer workers than the sketch has.
+	p := min(s.opt.Workers, (len(cands)+minRepairsPerWorker-1)/minRepairsPerWorker)
 	// replaced[ci] == nil keeps the old sample; workers own disjoint ci
 	// ranges, so the slice needs no synchronization. A regenerated or
 	// extended empty sample cannot occur (the root is always a member).
@@ -385,7 +402,7 @@ func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta
 	par.ForEach(len(cands), p, func(rank, lo, hi int) {
 		w := &deltaWorker{
 			g:       ng,
-			sampler: diffuse.NewSampler(ng, s.opt.Model),
+			sampler: diffuse.NewSamplerTable(ng, s.opt.Model, s.scan),
 			gen:     rng.NewSplitMix64(0),
 			member:  make([]uint32, n),
 			exam:    make([]bool, len(d)),
@@ -410,23 +427,23 @@ func (s *DynamicSketch) repair(ng *graph.Graph, ov *graph.Overlay, d graph.Delta
 		extended += extPer[rank]
 	}
 
+	// Stitch the new collection: every run of samples between two
+	// replaced ones is copied in bulk.
 	ncol := rrr.NewCollection(n)
 	ncol.Reserve(s.col.Count(), s.col.TotalSize())
 	changed := make([]int32, 0, len(cands))
-	ci := 0
-	for id := 0; id < s.col.Count(); id++ {
-		if ci < len(cands) && int(cands[ci]) == id {
-			if r := replaced[ci]; r != nil {
-				ncol.Append(r)
-				changed = append(changed, cands[ci])
-			} else {
-				ncol.Append(s.col.Sample(id))
-			}
-			ci++
+	next := 0
+	for ci, r := range replaced {
+		if r == nil {
 			continue
 		}
-		ncol.Append(s.col.Sample(id))
+		id := int(cands[ci])
+		ncol.AppendRange(s.col, next, id)
+		ncol.Append(r)
+		changed = append(changed, cands[ci])
+		next = id + 1
 	}
+	ncol.AppendRange(s.col, next, s.col.Count())
 	// Patch the incidence index instead of rebuilding: only the changed
 	// samples' memberships moved, and a full rebuild's fixed navigation
 	// cost (every worker walks all theta samples twice) would dwarf the

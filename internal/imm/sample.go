@@ -101,21 +101,20 @@ func NewBatchSampler(g *graph.Graph, opt Options) *BatchSampler {
 		arenas:   make([]batchArena, opt.Workers),
 		Work:     make([]int64, opt.Workers),
 	}
+	// The read-only scan table is built once (one pass over the in-CSR)
+	// and shared by every worker's samplers, scalar and fused alike.
+	scan := diffuse.NewScanTable(g, opt.Model)
 	for w := range b.samplers {
-		b.samplers[w] = diffuse.NewSampler(g, opt.Model)
+		b.samplers[w] = diffuse.NewSamplerTable(g, opt.Model, scan)
 		b.gens[w] = rng.NewSplitMix64(0) // re-pointed per sample via Reseed
 		b.rands[w] = rng.New(b.gens[w])
 	}
 	if opt.Kernel == KernelFused && opt.RNG != LeapFrog {
 		// The fused kernel requires per-sample stream derivation; a
-		// leap-frog run keeps the scalar kernel (see KernelFused). The
-		// read-only coin-threshold tables are built once and shared by
-		// every worker's sampler — they scale with the edge count, where
-		// the per-worker scratch scales with the vertex count.
-		shared := diffuse.NewFusedShared(g, opt.Model)
+		// leap-frog run keeps the scalar kernel (see KernelFused).
 		b.fused = make([]*diffuse.FusedSampler, opt.Workers)
 		for w := range b.fused {
-			b.fused[w] = diffuse.NewFusedSamplerShared(g, opt.Model, shared)
+			b.fused[w] = diffuse.NewFusedSamplerTable(g, opt.Model, scan)
 		}
 	}
 	if opt.RNG == LeapFrog {

@@ -1,6 +1,10 @@
 package rrr
 
 import (
+	"cmp"
+	"slices"
+	"sort"
+
 	"influmax/internal/graph"
 	"influmax/internal/par"
 )
@@ -127,10 +131,11 @@ func buildIndex(n, count, p int, rangeOf func(j int, vl, vh graph.Vertex, visit 
 // rebuild pays a fixed per-(worker x sample) navigation cost in both of
 // its passes, which dominates whenever samples are small — the common case
 // for delta maintenance, where a batch repairs a handful of samples out of
-// theta. The patch instead copies every untouched vertex's incidence list
-// verbatim and merges removal/addition ids only into the lists of vertices
+// theta. The patch instead lists the changed samples' membership moves
+// once, copies the incidence lists of every run of vertices between them
+// in bulk and merges removal/addition ids only into the lists of vertices
 // the changed samples actually mention: O(n + TotalSize) memory traffic
-// plus O(p x |changed|) navigation, independent of theta.
+// plus O(|changed| entries) navigation, independent of theta.
 //
 // The result is byte-identical to a fresh BuildIndex over next at any
 // worker count (both keep each list ascending by sample id). An empty
@@ -147,102 +152,106 @@ func PatchIndex(idx *Index, prev, next *Collection, changed []int32, p int) *Ind
 	if p > n {
 		p = n
 	}
-	out := &Index{offsets: make([]int64, n+1)}
 
-	// Pass 1: new counts = old incidence adjusted by the changed samples'
-	// membership deltas. Workers own vertex intervals exactly as in
-	// buildIndex, but navigate only the changed samples.
-	counts := out.offsets[1:]
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		for v := vl; v < vh; v++ {
-			counts[v] = idx.offsets[v+1] - idx.offsets[v]
+	// The membership moves, ordered by vertex, then sample id, then
+	// removal before addition; sign[i] is the running incidence-count
+	// change over ev[:i].
+	var ev []patchEvent
+	for _, id := range changed {
+		for _, u := range prev.Sample(int(id)) {
+			ev = append(ev, patchEvent{v: u, id: id, add: false})
 		}
-		for _, id := range changed {
-			for _, u := range prev.RangeOf(int(id), graph.Vertex(vl), graph.Vertex(vh)) {
-				counts[u]--
-			}
-			for _, u := range next.RangeOf(int(id), graph.Vertex(vl), graph.Vertex(vh)) {
-				counts[u]++
-			}
+		for _, u := range next.Sample(int(id)) {
+			ev = append(ev, patchEvent{v: u, id: id, add: true})
 		}
-	})
-
-	// Prefix sum, two-level (same scheme as buildIndex).
-	bases := make([]int64, p+1)
-	par.Run(p, func(rank int) {
-		vl, vh := par.Interval(n, p, rank)
-		var sum int64
-		for v := vl; v < vh; v++ {
-			sum += counts[v]
-			counts[v] = sum
-		}
-		bases[rank+1] = sum
-	})
-	for r := 1; r <= p; r++ {
-		bases[r] += bases[r-1]
 	}
+	slices.SortFunc(ev, func(a, b patchEvent) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(b2i(a.add), b2i(b.add))
+	})
+	sign := make([]int64, len(ev)+1)
+	for i, e := range ev {
+		sign[i+1] = sign[i] - 1
+		if e.add {
+			sign[i+1] = sign[i] + 1
+		}
+	}
+	firstAt := func(v int) int { // index of the first event at vertex >= v
+		return sort.Search(len(ev), func(i int) bool { return int(ev[i].v) >= v })
+	}
+
+	// Offsets: each worker shifts its interval's old offsets by the count
+	// change of every event before each vertex.
+	out := &Index{offsets: make([]int64, n+1)}
 	par.Run(p, func(rank int) {
 		vl, vh := par.Interval(n, p, rank)
+		e := firstAt(vl)
 		for v := vl; v < vh; v++ {
-			counts[v] += bases[rank]
+			for e < len(ev) && int(ev[e].v) == v {
+				e++
+			}
+			out.offsets[v+1] = idx.offsets[v+1] + sign[e]
 		}
 	})
 
-	// Pass 2: fill. Each worker inverts the changed samples over its
-	// interval into per-vertex removal (old membership) and addition (new
-	// membership) lists — ascending by id because changed is — then per
-	// vertex either copies the old list straight through or merges:
-	// (old \ removals) interleaved with additions. An id on both sides is
-	// a regenerated sample that still contains v; it leaves the merge at
-	// its original sorted position.
+	// Fill: each worker copies the lists of the event-free vertex runs of
+	// its interval in one move and, at every event vertex, copies the old
+	// list's spans between the event ids, dropping removed ids and
+	// inserting added ones. An id on both sides is a regenerated sample
+	// that still contains v: its removal and its addition meet at the same
+	// position, so it keeps its sorted place.
 	out.samples = make([]int32, out.offsets[n])
 	par.Run(p, func(rank int) {
 		vl, vh := par.Interval(n, p, rank)
-		rem := make([][]int32, vh-vl)
-		add := make([][]int32, vh-vl)
-		for _, id := range changed {
-			for _, u := range prev.RangeOf(int(id), graph.Vertex(vl), graph.Vertex(vh)) {
-				rem[int(u)-vl] = append(rem[int(u)-vl], id)
+		e := firstAt(vl)
+		for v := vl; v < vh; {
+			stop := vh
+			if e < len(ev) && int(ev[e].v) < vh {
+				stop = int(ev[e].v)
 			}
-			for _, u := range next.RangeOf(int(id), graph.Vertex(vl), graph.Vertex(vh)) {
-				add[int(u)-vl] = append(add[int(u)-vl], id)
+			copy(out.samples[out.offsets[v]:out.offsets[stop]], idx.samples[idx.offsets[v]:idx.offsets[stop]])
+			if v = stop; v == vh {
+				break
 			}
-		}
-		var kept []int32
-		for v := vl; v < vh; v++ {
 			dst := out.samples[out.offsets[v]:out.offsets[v+1]]
 			src := idx.samples[idx.offsets[v]:idx.offsets[v+1]]
-			rv, av := rem[v-vl], add[v-vl]
-			if len(rv) == 0 && len(av) == 0 {
-				copy(dst, src)
-				continue
-			}
-			kept = kept[:0]
-			ri := 0
-			for _, id := range src {
-				if ri < len(rv) && rv[ri] == id {
-					ri++
-					continue
-				}
-				kept = append(kept, id)
-			}
-			ki, ai, o := 0, 0, 0
-			for ki < len(kept) && ai < len(av) {
-				if kept[ki] < av[ai] {
-					dst[o] = kept[ki]
-					ki++
+			o, i := 0, 0
+			for ; e < len(ev) && int(ev[e].v) == v; e++ {
+				j, _ := slices.BinarySearch(src[i:], ev[e].id)
+				o += copy(dst[o:], src[i:i+j])
+				i += j
+				if ev[e].add {
+					dst[o] = ev[e].id
+					o++
 				} else {
-					dst[o] = av[ai]
-					ai++
+					i++ // the removed id itself
 				}
-				o++
 			}
-			o += copy(dst[o:], kept[ki:])
-			copy(dst[o:], av[ai:])
+			copy(dst[o:], src[i:])
+			v++
 		}
 	})
 	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// patchEvent is one membership move of PatchIndex: sample id leaves
+// (add false) or joins (add true) the incidence list of v.
+type patchEvent struct {
+	v   graph.Vertex
+	id  int32
+	add bool
 }
 
 // NumVertices returns the vertex-universe size the index was built over.

@@ -63,6 +63,18 @@ func (c *Collection) AppendArena(verts []graph.Vertex, offsets []int64) {
 	}
 }
 
+// AppendRange bulk-appends samples [lo, hi) of src, in order.
+func (c *Collection) AppendRange(src *Collection, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	base := int64(len(c.verts)) - src.offsets[lo]
+	c.verts = append(c.verts, src.verts[src.offsets[lo]:src.offsets[hi]]...)
+	for _, off := range src.offsets[lo+1 : hi+1] {
+		c.offsets = append(c.offsets, base+off)
+	}
+}
+
 // Reserve grows the backing arrays so that at least samples more samples
 // totalling entries more vertex entries can be appended without
 // reallocation (batch merges size their append target exactly).
